@@ -89,7 +89,7 @@ double time_point_queries(sqldb::Connection& conn, int reps) {
 
 /// Telemetry overhead on the 1M-row hot paths: the same workload with the
 /// runtime switch on and off. Point queries are the worst case (the
-/// per-statement span/counter cost is amortized over almost no work);
+/// per-statement record/counter cost is amortized over almost no work);
 /// the 1M-row group-by shows the cost disappearing into real work.
 void report_telemetry_overhead(sqldb::Connection& conn,
                                bench::BenchJson& json) {

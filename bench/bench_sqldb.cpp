@@ -157,10 +157,9 @@ BENCHMARK(BM_TransactionCommit);
 // ----------------------- concurrent SELECT throughput (shared lock) ----
 //
 // Measures multi-threaded read throughput against one shared Database at
-// 1/2/4/8 threads, comparing the legacy single-mutex discipline
-// (ConcurrencyMode::kSerialized: every statement takes the exclusive
-// lock) with the shared-read path (SELECTs take the lock shared). Each
-// thread runs its own Connection and PreparedStatement.
+// 1/2/4/8 threads on the shared-read path (SELECTs take the drain lock
+// shared and read their MVCC snapshot). Each thread runs its own
+// Connection and PreparedStatement.
 double run_read_throughput(const std::shared_ptr<Database>& database,
                            unsigned threads, int ops_per_thread) {
   std::vector<std::thread> workers;
@@ -190,30 +189,16 @@ void report_concurrent_read_scaling(perfdmf::bench::BenchJson& json) {
 
   std::printf("concurrent SELECT throughput, %lld rows, %d ops/thread\n",
               static_cast<long long>(kRows), kOpsPerThread);
-  std::printf("  %-8s %18s %18s %9s\n", "threads", "single-mutex op/s",
-              "shared-lock op/s", "speedup");
-  double serialized_8 = 0.0;
+  std::printf("  %-8s %18s\n", "threads", "shared-lock op/s");
   double shared_8 = 0.0;
   for (unsigned threads : {1u, 2u, 4u, 8u}) {
-    database->locks().set_mode(ConcurrencyMode::kSerialized);
-    const double serialized =
-        run_read_throughput(database, threads, kOpsPerThread);
-    database->locks().set_mode(ConcurrencyMode::kSharedRead);
     const double shared = run_read_throughput(database, threads, kOpsPerThread);
-    std::printf("  %-8u %18.0f %18.0f %8.2fx\n", threads, serialized, shared,
-                shared / serialized);
-    if (threads == 8u) {
-      serialized_8 = serialized;
-      shared_8 = shared;
-    }
+    std::printf("  %-8u %18.0f\n", threads, shared);
+    if (threads == 8u) shared_8 = shared;
   }
-  std::printf(
-      "  8-thread shared-lock vs single-mutex: %.2fx"
-      " (scales with available cores; %u detected)\n\n",
-      shared_8 / serialized_8, std::thread::hardware_concurrency());
-  json.set("read_8t_serialized_ops_per_s", serialized_8);
+  std::printf("  (scales with available cores; %u detected)\n\n",
+              std::thread::hardware_concurrency());
   json.set("read_8t_shared_ops_per_s", shared_8);
-  json.set("read_8t_shared_speedup", shared_8 / serialized_8);
 }
 
 // ------------------------------ durability-mode commit throughput -----

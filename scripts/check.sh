@@ -38,6 +38,25 @@ run_suite() {
   ctest --test-dir "$dir" --output-on-failure -j "$JOBS" "${extra[@]}"
 }
 
+# A skipped test is not a safety net: fail when the last ctest run in
+# build dir $1 had any gtest case report [  SKIPPED ], other than the
+# cases named in the remaining arguments (Suite.Name).
+check_no_skips() {
+  local dir="$1"
+  shift
+  local skipped unexpected
+  skipped="$(grep -oE '^\[  SKIPPED \] [^ ]+ \(' \
+               "$dir/Testing/Temporary/LastTest.log" |
+             sed -E 's/^\[  SKIPPED \] //; s/ \($//' | sort -u || true)"
+  unexpected="$(comm -23 <(printf '%s\n' "$skipped" | sed '/^$/d') \
+                         <(printf '%s\n' "$@" | sort -u))"
+  if [ -n "$unexpected" ]; then
+    echo "unexpected skipped tests in $dir:" >&2
+    echo "$unexpected" >&2
+    return 1
+  fi
+}
+
 # Quick-scale workload run + gate against the committed baseline. The
 # seed baseline was recorded with --record-baseline on a quiet machine;
 # on very different hardware, re-record it (perfguard fails loudly, not
@@ -75,11 +94,17 @@ fi
 
 echo "=== plain build ==="
 run_suite build-check "" ""
+check_no_skips build-check
 
 echo "=== telemetry compiled out ==="
 # The kill switch must keep the whole suite green: system tables exist
 # but serve zeros, and recording compiles to nothing.
 run_suite build-notel "" "" -DPERFDMF_TELEMETRY=OFF
+# Only the recording-dependent cases may skip, each by name.
+check_no_skips build-notel \
+  Histogram.PercentilesTrackExactQuantiles \
+  SystemTableTest.SlowQueryTraceEndToEnd \
+  ExplainAnalyze.OperatorMicrosSumWithinRingTotal
 
 echo "=== telemetry compiled out: introspection smoke ==="
 # Explicit gate on the introspection surface with the kill switch
@@ -103,6 +128,7 @@ run_suite build-tsan "$SAN_FILTER" "crash|workload|robustness" \
 echo "=== AddressSanitizer + UBSan ==="
 run_suite build-asan "$ASAN_FILTER" "workload|robustness" \
   -DPERFDMF_SANITIZE=address,undefined
+check_no_skips build-asan
 
 echo "=== chaos (robustness suites under ASan, fixed seed) ==="
 # Governance + 220 randomized chaos schedules, memory-checked. The seed

@@ -6,7 +6,6 @@
 #include "sqldb/parser.h"
 #include "sqldb/system_tables.h"
 #include "telemetry/metrics.h"
-#include "telemetry/span.h"
 #include "util/error.h"
 #include "util/strings.h"
 
@@ -151,14 +150,14 @@ void PreparedStatement::clear_parameters() {
 
 ResultSet PreparedStatement::execute_query() {
   debug_claim_thread();
-  telemetry::Span span(sql_);
-  return ResultSet(connection_.run_statement(statement_, params_, sql_));
+  StatementContext ctx(sql_);
+  return ResultSet(connection_.run_statement(ctx, statement_, params_));
 }
 
 std::size_t PreparedStatement::execute_update() {
   debug_claim_thread();
-  telemetry::Span span(sql_);
-  return update_count(connection_.run_statement(statement_, params_, sql_));
+  StatementContext ctx(sql_);
+  return update_count(connection_.run_statement(ctx, statement_, params_));
 }
 
 // ------------------------------------------------------ DatabaseMetaData
@@ -241,40 +240,29 @@ void Connection::init_governance_from_env() {
       static_cast<std::uint64_t>(env_nonneg("PERFDMF_STMT_MEM_BYTES"));
 }
 
-StatementContext Connection::make_statement_context() {
-  StatementContext ctx;
+void Connection::arm_governance(StatementContext& ctx) {
   ctx.deadline = util::Deadline::after_ms(statement_timeout_ms_);
   ctx.cancel = &cancel_flag_;
   ctx.mem_soft_bytes = statement_mem_bytes_;
   // Soft breach degrades to spill-free operators; only a statement whose
   // state still grows 4x past the budget is killed outright.
   ctx.mem_hard_bytes = statement_mem_bytes_ == 0 ? 0 : statement_mem_bytes_ * 4;
-  return ctx;
 }
 
-ResultSetData Connection::run_statement(Statement& stmt, const Params& params,
-                                        std::string_view sql) {
-  StatementContext ctx = make_statement_context();
-  ScopedStatementContext scope(ctx);
+ResultSetData Connection::run_statement(StatementContext& ctx, Statement& stmt,
+                                        const Params& params) {
+  arm_governance(ctx);
+  if (stmt.kind == StatementKind::kExplain && stmt.analyze) {
+    // EXPLAIN ANALYZE: collect operator stats and attribute every phase
+    // (admission, lock wait, fsync, ...) even when no slow threshold or
+    // tracing is armed.
+    ctx.arm_analyze();
+  }
   // Listed in PERFDMF_STATEMENTS for the whole governed lifetime
   // (admission wait included). The guard outlives nothing it points to:
-  // ctx lives until the end of this frame and the slot is cleared first.
-  StatementRegistry::Guard listing(database_->statements(), sql, &ctx);
-  try {
-    return run_governed(stmt, params, sql, ctx);
-  } catch (const DbError& e) {
-    telemetry::Span* span = telemetry::Span::current();
-    if (span != nullptr) {
-      if (e.kind() == DbError::Kind::kTimeout) span->set_outcome("timed_out");
-      if (e.kind() == DbError::Kind::kCancelled) span->set_outcome("cancelled");
-    }
-    throw;
-  }
-}
-
-ResultSetData Connection::run_governed(Statement& stmt, const Params& params,
-                                       std::string_view sql,
-                                       StatementContext& ctx) {
+  // ctx outlives this frame and the slot is cleared first.
+  StatementRegistry::Guard listing(database_->statements(), ctx);
+  const std::string_view sql = ctx.sql();
   LockManager& locks = database_->locks();
   const StatementClass cls = classify_statement(stmt);
 
@@ -348,17 +336,11 @@ std::size_t Connection::execute_update(std::string_view sql, const Params& param
 }
 
 ResultSetData Connection::run_cached(std::string_view sql, const Params& params) {
-  telemetry::Span span(sql);
+  StatementContext ctx(sql);
   PlanLease lease = lease_plan(sql);
-  if (lease.statement->kind == StatementKind::kExplain &&
-      lease.statement->analyze) {
-    // EXPLAIN ANALYZE: attribute every phase (admission, lock wait,
-    // fsync, ...) even when no slow threshold or tracing is armed.
-    span.arm_analyze();
-  }
   ResultSetData result;
   try {
-    result = run_statement(*lease.statement, params, sql);
+    result = run_statement(ctx, *lease.statement, params);
   } catch (...) {
     release_plan(lease);
     throw;
@@ -414,7 +396,7 @@ Connection::PlanLease Connection::lease_plan(std::string_view sql) {
     }
   }
   {
-    telemetry::PhaseTimer parse_phase(telemetry::Phase::kParse);
+    PhaseTimer parse_phase(telemetry::Phase::kParse);
     lease.owned = std::make_unique<Statement>(parse_statement(sql));  // no lock held
   }
   lease.statement = lease.owned.get();
@@ -487,8 +469,8 @@ void Connection::begin() {
   }
   // Same unit discipline as the SQL BEGIN path: admit, then lock; the
   // slot rides on the database until commit()/rollback() releases it.
-  StatementContext ctx = make_statement_context();
-  ScopedStatementContext scope(ctx);
+  StatementContext ctx;
+  arm_governance(ctx);
   AdmissionSlot slot = database_->governor().admit(&ctx);
   locks.acquire_transaction(&ctx);
   try {

@@ -220,14 +220,13 @@ class Connection {
  private:
   friend class PreparedStatement;
 
-  /// Classify, admit (governor), take the right lock, and execute.
-  ResultSetData run_statement(Statement& stmt, const Params& params,
-                              std::string_view sql);
-  /// run_statement's body, running under an installed StatementContext.
-  ResultSetData run_governed(Statement& stmt, const Params& params,
-                             std::string_view sql, StatementContext& ctx);
-  /// Fresh context from this connection's timeout/budget/cancel state.
-  StatementContext make_statement_context();
+  /// Arm `ctx` (the statement's record, already installed), list it in
+  /// PERFDMF_STATEMENTS, classify, admit (governor), take the right lock,
+  /// and execute.
+  ResultSetData run_statement(StatementContext& ctx, Statement& stmt,
+                              const Params& params);
+  /// Apply this connection's timeout/budget/cancel state to `ctx`.
+  void arm_governance(StatementContext& ctx);
   /// Seed timeout/budget defaults from PERFDMF_STMT_TIMEOUT_MS and
   /// PERFDMF_STMT_MEM_BYTES.
   void init_governance_from_env();

@@ -10,7 +10,6 @@
 #include "sqldb/system_tables.h"
 #include "sqldb/wal.h"
 #include "telemetry/metrics.h"
-#include "telemetry/span.h"
 #include "util/crc32.h"
 #include "util/error.h"
 #include "util/failpoint.h"
@@ -414,8 +413,8 @@ ResultSetData Database::dispatch_statement(Statement& stmt, const Params& params
     case StatementKind::kSelect: {
       // When the slow-query log is armed, collect the plan so a slow
       // statement's trace carries its access path.
-      telemetry::Span* span = telemetry::Span::current();
-      if (span != nullptr && span->wants_plan()) {
+      StatementContext* ctx = StatementContext::current();
+      if (ctx != nullptr && ctx->slow_armed()) {
         ExplainInfo explain;
         ResultSetData out = execute_select(*this, stmt.select, params, &explain);
         std::string plan;
@@ -423,7 +422,7 @@ ResultSetData Database::dispatch_statement(Statement& stmt, const Params& params
           if (!plan.empty()) plan += '\n';
           plan += line;
         }
-        span->set_plan(std::move(plan));
+        ctx->set_plan(std::move(plan));
         return out;
       }
       return execute_select(*this, stmt.select, params);
@@ -939,11 +938,13 @@ void Database::checkpoint() {
     for (auto& [name, t] : tables_) t->vacuum();
     stamp_graveyard_.clear();
     telemetry::trace_emit("mvcc.vacuum", "checkpoint", vacuum_start,
-                          std::chrono::steady_clock::now());
+                          std::chrono::steady_clock::now(),
+                          current_trace_parent());
   }
   if (!wal_) {
     telemetry::trace_emit("checkpoint", "checkpoint", checkpoint_start,
-                          std::chrono::steady_clock::now());
+                          std::chrono::steady_clock::now(),
+                          current_trace_parent());
     return;
   }
   util::WallTimer timer;
@@ -1003,7 +1004,8 @@ void Database::checkpoint() {
   checkpoints.add();
   checkpoint_micros.record(static_cast<std::uint64_t>(timer.seconds() * 1e6));
   telemetry::trace_emit("checkpoint", "checkpoint", checkpoint_start,
-                        std::chrono::steady_clock::now());
+                        std::chrono::steady_clock::now(),
+                        current_trace_parent());
 }
 
 std::string Database::render_snapshot(std::uint64_t watermark) const {

@@ -12,7 +12,6 @@
 #include "sqldb/database.h"
 #include "sqldb/statement_context.h"
 #include "sqldb/system_tables.h"
-#include "telemetry/span.h"
 #include "util/error.h"
 #include "util/strings.h"
 
@@ -27,23 +26,24 @@ constexpr std::uint64_t kHashEntryBytes = 64;  // bucket + key + index slot
 constexpr std::uint64_t kValueBytes = 48;      // one stored Value, amortized
 
 /// Collects per-operator runtime stats (EXPLAIN ANALYZE) and emits
-/// operator events onto the trace timeline. Inactive — zero clock reads —
-/// unless the statement runs under EXPLAIN ANALYZE or its span is traced.
-/// Timing uses the steady clock directly so EXPLAIN ANALYZE stays exact
-/// in telemetry-off builds.
+/// operator events onto the trace timeline. Both flags come from the
+/// statement's record. Inactive — zero clock reads — unless the statement
+/// runs under EXPLAIN ANALYZE or is traced. Timing uses the steady clock
+/// directly so EXPLAIN ANALYZE stays exact in telemetry-off builds.
 struct OpRecorder {
   ExplainInfo* explain = nullptr;  // non-null only when collecting op stats
-  bool traced = false;             // current statement span is on the timeline
+  std::uint64_t trace_id = 0;      // the statement's id when it is traced
 
   static OpRecorder make(ExplainInfo* explain) {
     OpRecorder rec;
-    rec.explain = explain != nullptr && explain->analyze ? explain : nullptr;
-    const telemetry::Span* span = telemetry::Span::current();
-    rec.traced = span != nullptr && span->trace_armed();
+    const StatementContext* ctx = StatementContext::current();
+    if (ctx == nullptr) return rec;
+    if (ctx->analyze()) rec.explain = explain;
+    if (ctx->trace_armed()) rec.trace_id = ctx->id();
     return rec;
   }
 
-  bool active() const { return explain != nullptr || traced; }
+  bool active() const { return explain != nullptr || trace_id != 0; }
 
   std::chrono::steady_clock::time_point begin() const {
     return active() ? std::chrono::steady_clock::now()
@@ -56,7 +56,9 @@ struct OpRecorder {
               bool degraded = false) {
     if (!active()) return;
     const auto end = std::chrono::steady_clock::now();
-    if (traced) telemetry::trace_emit(label, "operator", start, end);
+    if (trace_id != 0) {
+      telemetry::trace_emit(label, "operator", start, end, trace_id);
+    }
     if (explain == nullptr) return;
     OperatorStats op;
     op.label = std::move(label);
@@ -507,7 +509,7 @@ WorkingSet build_working_set(Database& db, SelectStatement& stmt,
   std::vector<Expr*> pushed;
   AccessPath path;
   {
-    telemetry::PhaseTimer plan_phase(telemetry::Phase::kPlan);
+    PhaseTimer plan_phase(telemetry::Phase::kPlan);
     if (stmt.where) {
       if (stmt.joins.empty()) {
         bind_expr(*stmt.where, ws.layout);
@@ -1173,7 +1175,6 @@ ResultSetData execute_select(Database& db, SelectStatement& stmt,
 ResultSetData execute_explain(Database& db, SelectStatement& stmt,
                               const Params& params, bool analyze) {
   ExplainInfo info;
-  info.analyze = analyze;
   execute_select(db, stmt, params, &info);
   if (analyze) {
     for (const auto& op : info.ops) {
@@ -1188,17 +1189,17 @@ ResultSetData execute_explain(Database& db, SelectStatement& stmt,
       if (op.degraded) line += " degraded";
       info.add(std::move(line));
     }
-    // Pin the annotated plan into the statement's span and force it into
-    // the slow-query ring, so PERFDMF_SLOW_QUERIES keeps the operator
+    // Pin the annotated plan into the statement's record and force it
+    // into the slow-query ring, so PERFDMF_SLOW_QUERIES keeps the operator
     // breakdown of every EXPLAIN ANALYZE run.
-    if (telemetry::Span* span = telemetry::Span::current()) {
+    if (StatementContext* ctx = StatementContext::current()) {
       std::string plan;
       for (const auto& line : info.lines) {
         if (!plan.empty()) plan += '\n';
         plan += line;
       }
-      span->set_plan(std::move(plan));
-      span->force_trace();
+      ctx->set_plan(std::move(plan));
+      ctx->force_trace();
     }
   }
   ResultSetData out;

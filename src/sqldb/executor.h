@@ -57,11 +57,10 @@ struct OperatorStats {
 /// Plan description collected while executing under EXPLAIN: one line per
 /// decision (base-table access path, join strategy per join, grouping
 /// strategy, ORDER BY strategy). The Connection layer appends a
-/// plan-cache line for EXPLAIN statements it serves. With `analyze` set
-/// (EXPLAIN ANALYZE) the executor additionally fills `ops` with runtime
-/// operator stats.
+/// plan-cache line for EXPLAIN statements it serves. Under EXPLAIN
+/// ANALYZE (the statement record's analyze flag) the executor
+/// additionally fills `ops` with runtime operator stats.
 struct ExplainInfo {
-  bool analyze = false;
   std::vector<std::string> lines;
   std::vector<OperatorStats> ops;
   void add(std::string line) { lines.push_back(std::move(line)); }
@@ -79,8 +78,8 @@ ResultSetData execute_select(Database& db, SelectStatement& stmt,
 /// EXPLAIN SELECT: run the select (so group/strategy decisions reflect the
 /// actual data) and return the plan lines as a one-column result. With
 /// `analyze` (EXPLAIN ANALYZE) each operator's runtime stats are appended
-/// as additional "analyze <op>: ..." lines and recorded into the active
-/// telemetry span so the slow-query ring gains operator-level detail.
+/// as additional "analyze <op>: ..." lines and recorded into the
+/// statement's record so the slow-query ring gains operator-level detail.
 ResultSetData execute_explain(Database& db, SelectStatement& stmt,
                               const Params& params, bool analyze = false);
 

@@ -5,7 +5,6 @@
 #include <cstdlib>
 #include <sstream>
 
-#include "telemetry/span.h"
 #include "util/error.h"
 #include "util/strings.h"
 
@@ -91,12 +90,11 @@ AdmissionSlot AdmissionGovernor::admit(StatementContext* ctx) {
   const std::uint64_t ticket = next_ticket_++;
   queue_.push_back(ticket);
   // Queued: the time from here until admission is governance overhead,
-  // not execution — attribute it to the span's admission phase (and flag
-  // the live-statement view) instead of letting it hide in the execute
-  // remainder.
-  telemetry::PhaseTimer admission_timer(telemetry::Phase::kAdmission,
-                                        &admission_wait_histogram());
-  ScopedPhaseLabel phase_label(ctx, "admission");
+  // not execution — attribute it to the statement's admission phase (and
+  // label the live-statement view) instead of letting it hide in the
+  // execute remainder.
+  PhaseTimer admission_timer(telemetry::Phase::kAdmission,
+                             &admission_wait_histogram());
   const auto shed_at = Clock::now() + std::chrono::milliseconds(cfg_.queue_timeout_ms);
   auto abandon = [&] {
     queue_.erase(std::find(queue_.begin(), queue_.end(), ticket));

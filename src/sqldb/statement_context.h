@@ -1,27 +1,52 @@
-// Per-statement governance context: deadline, cooperative cancellation,
-// and memory budget accounting.
+// The statement record: one StatementContext per executing statement,
+// holding everything the engine tracks about it.
 //
-// A Connection installs one StatementContext (thread-local) around each
-// top-level statement it runs. The executor's row loops call poll() at
-// row granularity — it counts ticks and only touches the clock every
-// kPollStride rows, so the unarmed cost is one thread-local increment.
-// Lock acquisition and admission waits call check_now() between bounded
-// wait slices so a stalled writer cannot hang a cancelled reader.
+// A Connection constructs one around each top-level statement, before
+// parsing. Construction installs it as the thread's current statement
+// (nesting restores the outer one); destruction retires it. It carries:
 //
-// Memory accounting: memory-hungry operators (hash-join build tables,
-// group-by hash tables, Top-K heaps) charge() approximate bytes as they
-// grow. Crossing the soft budget returns false — the operator abandons
-// its hash/heap strategy and degrades to the PR 4 fallback (index
-// nested loop / ordered map / full sort), counted in gov.mem_degraded.
-// Crossing the hard cap (4x the soft budget by default) throws
-// DbError{kMemBudget}: the statement fails cleanly instead of OOM-ing
-// the process.
+//  - Governance: deadline, cooperative cancellation and the memory
+//    budget. The executor's row loops call poll() at row granularity — it
+//    counts ticks and only touches the clock every kPollStride rows, so
+//    the unarmed cost is one increment. Lock acquisition and admission
+//    waits call check_now() between bounded wait slices so a stalled
+//    writer cannot hang a cancelled reader; when check_now() throws it
+//    records the outcome ("timed_out" / "cancelled") on the record.
+//  - Memory accounting: memory-hungry operators (hash-join build tables,
+//    group-by hash tables, Top-K heaps) charge() approximate bytes as
+//    they grow. Crossing the soft budget returns false — the operator
+//    abandons its hash/heap strategy and degrades to the fallback (index
+//    nested loop / ordered map / full sort), counted in gov.mem_degraded.
+//    Crossing the hard cap (4x the soft budget by default) throws
+//    DbError{kMemBudget}: the statement fails cleanly instead of OOM-ing
+//    the process.
+//  - Lifecycle: start time, the SQL text (borrowed), the live phase
+//    label, and a per-phase time breakdown (parse -> plan -> admission ->
+//    lock-wait -> execute -> fsync). PhaseTimer sets the label and adds
+//    the phase time in one place; execute is derived at the end as the
+//    unattributed remainder, so the breakdown is disjoint and sums to
+//    the total.
+//
+// Views over the record: PERFDMF_STATEMENTS reads it live through the
+// Database's StatementRegistry; EXPLAIN ANALYZE's operator recorder reads
+// its analyze/trace flags. When telemetry is enabled, retiring records
+// the sqldb.statement.total_micros histogram and, when armed, pushes the
+// record into the slow-query ring (PERFDMF_SLOW_QUERIES) and onto the
+// trace timeline (telemetry/trace.h). With the slow log and tracing off
+// a record costs two clock reads and a histogram record, and its SQL
+// text is never copied.
 #pragma once
 
+#include <array>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <string>
+#include <string_view>
+#include <thread>
 
 #include "telemetry/metrics.h"
+#include "telemetry/trace.h"
 #include "util/deadline.h"
 
 namespace perfdmf::sqldb {
@@ -66,6 +91,8 @@ class StatementContext {
   /// Clock reads happen once per this many poll() ticks.
   static constexpr std::uint32_t kPollStride = 256;
 
+  // Governance, set by the Connection before the record is published to
+  // the registry and immutable afterwards.
   util::Deadline deadline;
   /// Owned by the Connection; set from any thread. Cleared when the
   /// cancellation is delivered so the connection stays usable.
@@ -73,27 +100,25 @@ class StatementContext {
   std::uint64_t mem_soft_bytes = 0;  // 0 = unlimited
   std::uint64_t mem_hard_bytes = 0;  // 0 = unlimited
 
-  StatementContext() = default;
-  /// Movable so Connection::make_statement_context can return by value.
-  /// The atomics make the default move ill-formed; moving is only legal
-  /// before the context is installed (no concurrent observers yet).
-  StatementContext(StatementContext&& other) noexcept
-      : deadline(other.deadline),
-        cancel(other.cancel),
-        mem_soft_bytes(other.mem_soft_bytes),
-        mem_hard_bytes(other.mem_hard_bytes),
-        tick_(other.tick_),
-        mem_used_(other.mem_used_),
-        mem_degraded_(other.mem_degraded_),
-        pending_durable_seq_(other.pending_durable_seq_),
-        rows_polled_(other.rows_polled_.load(std::memory_order_relaxed)),
-        phase_label_(other.phase_label_.load(std::memory_order_relaxed)) {}
+  /// The record of one statement. `sql` is borrowed and must outlive it.
+  explicit StatementContext(std::string_view sql);
+  /// A governance-only record (no SQL, no lifecycle telemetry) for
+  /// engine calls that wait like a statement without being one.
+  StatementContext() : StatementContext(std::string_view{}, false) {}
+  ~StatementContext();
   StatementContext(const StatementContext&) = delete;
   StatementContext& operator=(const StatementContext&) = delete;
 
-  /// The context installed for the statement this thread is currently
-  /// executing, or nullptr outside statement scope (e.g. WAL replay).
+  /// The record of the statement this thread is currently executing, or
+  /// nullptr outside statement scope (e.g. WAL replay).
   static StatementContext* current();
+
+  // Identity: fixed at construction, readable from any thread once the
+  // record is published.
+  std::uint64_t id() const { return id_; }
+  std::string_view sql() const { return sql_; }
+  std::thread::id thread() const { return thread_; }
+  std::chrono::steady_clock::time_point start() const { return start_; }
 
   /// Row-batch cancellation point: cheap tick, full check every
   /// kPollStride calls. The tick count doubles as the "rows so far"
@@ -112,14 +137,11 @@ class StatementContext {
     return rows_polled_.load(std::memory_order_relaxed);
   }
 
-  /// Coarse current-phase label ("execute" by default; wait sites set
-  /// "admission" / "lock_wait" / "fsync" for their duration). Values are
-  /// string literals, so cross-thread reads are safe.
+  /// Current phase label: "execute" outside any PhaseTimer, otherwise the
+  /// timed phase's name. Values are string literals, so cross-thread
+  /// reads are safe.
   const char* phase_label() const {
     return phase_label_.load(std::memory_order_relaxed);
-  }
-  void set_phase_label(const char* label) {
-    phase_label_.store(label, std::memory_order_relaxed);
   }
 
   /// Immediate check: throws DbError{kCancelled} if the cancel flag is
@@ -151,35 +173,90 @@ class StatementContext {
     return seq;
   }
 
+  /// True when the slow-query log is armed for this statement; the
+  /// executor then spends the extra effort of capturing its EXPLAIN
+  /// output via set_plan().
+  bool slow_armed() const { return slow_armed_; }
+  /// True when this statement records onto the trace timeline.
+  bool trace_armed() const { return trace_armed_; }
+  /// True under EXPLAIN ANALYZE (independent of the telemetry switch:
+  /// operator stats use their own clocks).
+  bool analyze() const { return analyze_; }
+  /// EXPLAIN ANALYZE: collect operator stats and attribute phases even
+  /// without a slow threshold.
+  void arm_analyze() { analyze_ = true; }
+  void set_plan(std::string plan) { plan_ = std::move(plan); }
+  /// Push this record into the slow-query ring when it retires even if it
+  /// completed under the threshold (EXPLAIN ANALYZE recording).
+  void force_trace() { forced_ = timed_; }
+
  private:
+  friend class PhaseTimer;
+
+  StatementContext(std::string_view sql, bool statement);
+
+  /// True when phase attribution has a consumer: the slow-query log, an
+  /// EXPLAIN ANALYZE breakdown, or the trace timeline. PhaseTimer skips
+  /// its clock reads entirely when this is false.
+  bool phases_armed() const {
+    return timed_ && (slow_armed_ || analyze_ || trace_armed_);
+  }
+  /// Histogram, timeline event and slow-query ring, at destruction.
+  void retire();
+
   std::uint32_t tick_ = 0;
   std::uint64_t mem_used_ = 0;
   bool mem_degraded_ = false;
   std::uint64_t pending_durable_seq_ = 0;  // 0 = nothing awaiting fsync
   std::atomic<std::uint64_t> rows_polled_{0};
   std::atomic<const char*> phase_label_{"execute"};
+
+  std::uint64_t id_ = 0;
+  std::string_view sql_;
+  std::thread::id thread_;
+  std::chrono::steady_clock::time_point start_;
+  std::chrono::system_clock::time_point wall_start_{};
+  StatementContext* prev_;
+  // "completed", or "timed_out" / "cancelled" as set by check_now(). A
+  // killed statement is pushed to the slow-query ring even when it
+  // finished under the threshold — a query the governor killed is exactly
+  // the one an operator wants to see.
+  const char* outcome_ = "completed";
+  std::string plan_;
+  std::array<std::uint64_t, telemetry::kPhaseCount> phase_micros_{};
+  double threshold_ms_ = -1.0;
+  bool timed_;  // telemetry was enabled when the statement started
+  bool slow_armed_ = false;
+  bool trace_armed_ = false;
+  bool analyze_ = false;
+  bool forced_ = false;
 };
 
-/// Sets the context's coarse phase label for a scope (wait sites), then
-/// restores the previous label. Null context is a no-op.
-class ScopedPhaseLabel {
+/// Times one phase from construction to destruction. For its duration the
+/// calling thread's current statement shows the phase as its live label;
+/// the elapsed microseconds go to that statement's phase breakdown (when
+/// it has a consumer) and to `histogram` (if given). Traced statements
+/// additionally get a phase event on the trace timeline.
+class PhaseTimer {
  public:
-  ScopedPhaseLabel(StatementContext* ctx, const char* label) : ctx_(ctx) {
-    if (ctx_ != nullptr) {
-      prev_ = ctx_->phase_label();
-      ctx_->set_phase_label(label);
-    }
-  }
-  ~ScopedPhaseLabel() {
-    if (ctx_ != nullptr) ctx_->set_phase_label(prev_);
-  }
-  ScopedPhaseLabel(const ScopedPhaseLabel&) = delete;
-  ScopedPhaseLabel& operator=(const ScopedPhaseLabel&) = delete;
+  explicit PhaseTimer(telemetry::Phase phase,
+                      telemetry::Histogram* histogram = nullptr);
+  ~PhaseTimer();
+  PhaseTimer(const PhaseTimer&) = delete;
+  PhaseTimer& operator=(const PhaseTimer&) = delete;
 
  private:
+  telemetry::Phase phase_;
+  telemetry::Histogram* histogram_;
   StatementContext* ctx_;
-  const char* prev_ = nullptr;
+  const char* prev_label_ = nullptr;
+  bool timed_ = false;
+  std::chrono::steady_clock::time_point start_{};
 };
+
+/// The calling thread's traced statement id, or 0: the parent for
+/// timeline events recorded inside a statement (WAL rounds, checkpoints).
+std::uint64_t current_trace_parent();
 
 /// Accounts one operator's approximate footprint against the statement
 /// budget for the operator's lifetime; the running total is released on
@@ -207,19 +284,6 @@ class ScopedMemCharge {
  private:
   StatementContext* ctx_;
   std::uint64_t charged_ = 0;
-};
-
-/// Installs `ctx` as the thread's current statement context for a
-/// statement's execution scope (nesting restores the previous one).
-class ScopedStatementContext {
- public:
-  explicit ScopedStatementContext(StatementContext& ctx);
-  ~ScopedStatementContext();
-  ScopedStatementContext(const ScopedStatementContext&) = delete;
-  ScopedStatementContext& operator=(const ScopedStatementContext&) = delete;
-
- private:
-  StatementContext* prev_;
 };
 
 }  // namespace perfdmf::sqldb

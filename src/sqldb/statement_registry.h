@@ -1,29 +1,29 @@
 // Live registry of the statements currently executing against one
 // Database, backing the PERFDMF_STATEMENTS system table.
 //
+// A slot holds only a pointer to the live statement record
+// (StatementContext); every column is read from the record itself.
+//
 // Design constraint: introspection must never block or deadlock the
 // statements it observes. Each of the kSlots slots has its own tiny
-// mutex whose critical sections are strictly bounded (copy a truncated
-// SQL string in, read a few fields out — no allocation-free guarantee,
-// but no waits, no locks taken inside). Writers (statements registering
-// and unregistering) lock only their own slot; the snapshot reader uses
+// mutex whose critical sections are strictly bounded (set or clear the
+// pointer; copy at most kSqlMax bytes of SQL and a few fields out — no
+// waits, no locks taken inside). Statements registering and
+// unregistering lock only their own slot; the snapshot reader uses
 // try_lock per slot and simply skips a slot whose owner is mid-update,
 // so a reader can never stall a statement and a statement can never
 // stall a reader for more than one bounded copy.
 //
 // The registry is always active — independent of the telemetry kill
 // switch — because it reports facts (what is running now), not samples.
-// Its fixed cost per statement is one slot claim + one string copy of at
-// most kSqlMax bytes.
+// Its fixed cost per statement is one slot claim; nothing is copied.
 #pragma once
 
 #include <array>
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <mutex>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "sqldb/statement_context.h"
@@ -43,6 +43,13 @@ struct StatementInfo {
 };
 
 class StatementRegistry {
+  struct Slot {
+    mutable std::mutex mu;
+    // The live record, or nullptr when free. The owning Guard clears it
+    // (under mu) before the record dies.
+    const StatementContext* ctx = nullptr;
+  };
+
  public:
   static constexpr std::size_t kSlots = 64;
   static constexpr std::size_t kSqlMax = 200;
@@ -56,16 +63,13 @@ class StatementRegistry {
   /// unlisted — registration never waits.
   class Guard {
    public:
-    Guard(StatementRegistry& registry, std::string_view sql,
-          StatementContext* ctx);
+    Guard(StatementRegistry& registry, const StatementContext& ctx);
     ~Guard();
     Guard(const Guard&) = delete;
     Guard& operator=(const Guard&) = delete;
 
    private:
-    StatementRegistry* registry_ = nullptr;
-    std::size_t slot_ = 0;
-    bool registered_ = false;
+    Slot* slot_ = nullptr;
   };
 
   /// Rows for PERFDMF_STATEMENTS. Slots whose owner is mid-register/
@@ -73,20 +77,7 @@ class StatementRegistry {
   std::vector<StatementInfo> snapshot() const;
 
  private:
-  struct Slot {
-    mutable std::mutex mu;
-    bool used = false;
-    std::uint64_t id = 0;
-    std::string thread;
-    std::string sql;
-    // Valid while used: the owning Guard outlives the statement scope and
-    // clears this (under mu) before the context dies.
-    StatementContext* ctx = nullptr;
-    std::chrono::steady_clock::time_point start{};
-  };
-
   std::array<Slot, kSlots> slots_;
-  std::atomic<std::uint64_t> next_id_{1};
   std::atomic<std::size_t> cursor_{0};  // round-robin claim hint
 };
 

@@ -8,7 +8,7 @@
 #include "sqldb/statement_registry.h"
 #include "sqldb/wal.h"
 #include "telemetry/metrics.h"
-#include "telemetry/span.h"
+#include "telemetry/trace.h"
 #include "util/error.h"
 
 namespace perfdmf::sqldb {

@@ -269,58 +269,6 @@ bool Table::collect_batch(
   return !out.empty();
 }
 
-// --- Legacy stamp-less mutations (external exclusion required) ------------
-
-void Table::update(RowId id, Row row) {
-  row = normalize(std::move(row));
-  std::unique_lock lk(latch_);
-  RowVersion* head = id < slots_.size()
-                         ? slots_[id].head.load(std::memory_order_relaxed)
-                         : nullptr;
-  auto* cur = const_cast<RowVersion*>(resolve_visible(head, ReadView::latest()));
-  if (!cur) throw DbError("update of dead row in " + schema_.name());
-  check_unique_locked(row, id, ReadView::latest());
-  // In-place replacement: drop the exact old entries, swap the data, add
-  // the new keys.
-  for (auto& [column, index] : indexes_) {
-    auto [lo, hi] = index.entries.equal_range(cur->data[column]);
-    for (auto it = lo; it != hi; ++it) {
-      if (it->second == id) {
-        index.entries.erase(it);
-        break;
-      }
-    }
-  }
-  cur->data = std::move(row);
-  index_add(id, cur->data);
-}
-
-void Table::erase(RowId id) {
-  std::unique_lock lk(latch_);
-  RowVersion* head = id < slots_.size()
-                         ? slots_[id].head.load(std::memory_order_relaxed)
-                         : nullptr;
-  if (!resolve_visible(head, ReadView::latest())) {
-    throw DbError("delete of dead row in " + schema_.name());
-  }
-  // Hard delete: remove every index entry the chain contributed and free it.
-  for (const RowVersion* v = head; v; v = v->older) {
-    for (auto& [column, index] : indexes_) {
-      auto [lo, hi] = index.entries.equal_range(v->data[column]);
-      for (auto it = lo; it != hi; ++it) {
-        if (it->second == id) {
-          index.entries.erase(it);
-          break;
-        }
-      }
-    }
-  }
-  slots_[id].head.store(nullptr, std::memory_order_release);
-  free_chain(head);
-  live_rows_.fetch_add(-1, std::memory_order_relaxed);
-  free_slots_.push_back(id);
-}
-
 // --- Indexes --------------------------------------------------------------
 
 void Table::create_index(std::size_t column_index, bool unique) {

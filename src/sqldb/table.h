@@ -18,8 +18,8 @@
 // Thread contract: concurrent calls are safe between any number of readers
 // (fetch/scan/index_* with a ReadView) and ONE writer (insert/update/erase
 // with a stamp) — the engine's writer mutex provides the single-writer
-// guarantee. create_index/add_column/drop_column/vacuum and the legacy
-// stamp-less mutations require full external exclusion.
+// guarantee. create_index/add_column/drop_column/vacuum and the stamp-less
+// bulk-load insert(Row) require full external exclusion.
 #pragma once
 
 #include <cstdint>
@@ -111,18 +111,13 @@ class Table {
     }
   }
 
-  // --- Legacy stamp-less access (requires external exclusion) -----------
+  // --- Stamp-less bulk load (requires external exclusion) --------------
   //
-  // Bulk-load / scratch-table path: snapshot load, system-table and view
-  // materialisation, and single-threaded tests. Versions are committed at
-  // timestamp 0 (visible to every view); mutations act on the latest
-  // committed version in place.
+  // Snapshot load, system-table and view materialisation. Rows are
+  // committed at timestamp 0 (visible to every view); scan(fn) reads the
+  // latest committed versions.
 
   RowId insert(Row row) { return insert(std::move(row), nullptr, ReadView::latest()); }
-  void update(RowId id, Row row);
-  void erase(RowId id);
-  bool is_live(RowId id) const { return is_live(id, ReadView::latest()); }
-  const Row& row(RowId id) const { return row(id, ReadView::latest()); }
 
   template <typename Fn>
   void scan(Fn&& fn) const {

@@ -10,7 +10,6 @@
 
 #include "sqldb/statement_context.h"
 #include "telemetry/metrics.h"
-#include "telemetry/span.h"
 #include "util/crc32.h"
 #include "util/error.h"
 #include "util/failpoint.h"
@@ -404,7 +403,7 @@ void Wal::write_all(const std::string& buffer, const char* site) {
 void Wal::sync_now() {
   static auto& fsync_micros =
       telemetry::MetricsRegistry::instance().histogram("sqldb.wal.fsync_micros");
-  telemetry::PhaseTimer fsync_phase(telemetry::Phase::kFsync, &fsync_micros);
+  PhaseTimer fsync_phase(telemetry::Phase::kFsync, &fsync_micros);
   util::failpoint::evaluate("wal.sync");
   const auto start = std::chrono::steady_clock::now();
   if (fd_ >= 0 && ::fsync(fd_) != 0) {
@@ -491,8 +490,8 @@ void Wal::wait_durable(std::uint64_t seq) {
   commits.add();
   if (durable_seq_.load(std::memory_order_acquire) >= seq) return;
   // Everything from here until the covering round lands is durability
-  // wait, not execution: label the live-statement view and count
-  // ourselves in the group-commit queue depth.
+  // wait, not execution: count ourselves in the group-commit queue depth
+  // (the PhaseTimers below time it and label the live-statement view).
   struct WaiterGuard {
     std::atomic<int>& n;
     explicit WaiterGuard(std::atomic<int>& c) : n(c) {
@@ -500,7 +499,6 @@ void Wal::wait_durable(std::uint64_t seq) {
     }
     ~WaiterGuard() { n.fetch_sub(1, std::memory_order_relaxed); }
   } waiter_guard(commit_waiters_);
-  ScopedPhaseLabel phase_label(StatementContext::current(), "fsync");
   std::unique_lock<std::mutex> lk(commit_mutex_);
   for (;;) {
     if (durable_seq_.load(std::memory_order_acquire) >= seq) return;
@@ -512,9 +510,9 @@ void Wal::wait_durable(std::uint64_t seq) {
       if (group_wait_.count() > 0) {
         // Accumulation window — nobody signals it; it is a bounded sleep
         // that lets more committers finish their appends first. The
-        // leader's span pays for it as fsync time (sync_now() covers only
-        // the fsync proper).
-        telemetry::PhaseTimer accumulation_wait(telemetry::Phase::kFsync);
+        // leader's statement pays for it as fsync time (sync_now() covers
+        // only the fsync proper).
+        PhaseTimer accumulation_wait(telemetry::Phase::kFsync);
         commit_cv_.wait_for(lk, group_wait_);
       }
       const std::uint64_t target = written_seq_.load(std::memory_order_acquire);
@@ -541,7 +539,8 @@ void Wal::wait_durable(std::uint64_t seq) {
       }
       syncs.add();
       telemetry::trace_emit("wal.group_commit.round", "wal", round_start,
-                            std::chrono::steady_clock::now());
+                            std::chrono::steady_clock::now(),
+                            current_trace_parent());
       commit_cv_.notify_all();
       // Loop re-checks: our record was written before we queued, so the
       // round we just led always covers seq.
@@ -552,9 +551,9 @@ void Wal::wait_durable(std::uint64_t seq) {
       const std::uint64_t round = fail_round_;
       {
         // A follower's block time is durability cost; without this it
-        // would vanish into the span's execute remainder.
-        telemetry::PhaseTimer follower_wait(telemetry::Phase::kFsync,
-                                            &follower_wait_micros);
+        // would vanish into the statement's execute remainder.
+        PhaseTimer follower_wait(telemetry::Phase::kFsync,
+                                 &follower_wait_micros);
         commit_cv_.wait(lk);
       }
       if (durable_seq_.load(std::memory_order_acquire) >= seq) return;

@@ -52,12 +52,11 @@ std::optional<LogLevel> parse_log_level(std::string_view name) {
   return std::nullopt;
 }
 
-std::string iso8601_now() {
+std::string iso8601(std::chrono::system_clock::time_point t) {
   using namespace std::chrono;
-  const auto now = system_clock::now();
-  const std::time_t secs = system_clock::to_time_t(now);
+  const std::time_t secs = system_clock::to_time_t(t);
   const auto millis =
-      duration_cast<milliseconds>(now.time_since_epoch()).count() % 1000;
+      duration_cast<milliseconds>(t.time_since_epoch()).count() % 1000;
   std::tm tm{};
   gmtime_r(&secs, &tm);
   char buf[32];
@@ -67,12 +66,16 @@ std::string iso8601_now() {
   return buf;
 }
 
+std::string iso8601_now() { return iso8601(std::chrono::system_clock::now()); }
+
+std::string thread_id_string(std::thread::id id) {
+  std::ostringstream os;
+  os << id;
+  return os.str();
+}
+
 std::string current_thread_id() {
-  thread_local std::string cached = [] {
-    std::ostringstream os;
-    os << std::this_thread::get_id();
-    return os.str();
-  }();
+  thread_local std::string cached = thread_id_string(std::this_thread::get_id());
   return cached;
 }
 

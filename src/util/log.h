@@ -5,10 +5,12 @@
 // timestamp, the thread id, and the level.
 #pragma once
 
+#include <chrono>
 #include <optional>
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <thread>
 
 namespace perfdmf::util {
 
@@ -20,9 +22,12 @@ LogLevel log_level();
 /// Parse a level name ("debug", "INFO", ...). nullopt on unknown input.
 std::optional<LogLevel> parse_log_level(std::string_view name);
 
-/// Current UTC wall-clock time as "YYYY-MM-DDTHH:MM:SS.mmmZ".
+/// UTC wall-clock time `t` as "YYYY-MM-DDTHH:MM:SS.mmmZ".
+std::string iso8601(std::chrono::system_clock::time_point t);
 std::string iso8601_now();
 
+/// Printable form of a thread id.
+std::string thread_id_string(std::thread::id id);
 /// Printable id of the calling thread (stable for the thread's lifetime).
 std::string current_thread_id();
 

@@ -1,7 +1,7 @@
 // Introspection: EXPLAIN ANALYZE operator stats, the live system tables
 // (PERFDMF_STATEMENTS / PERFDMF_TRANSACTIONS / PERFDMF_LOCKS /
-// PERFDMF_WAL), phase attribution for admission waits, and the JSON /
-// Chrome-trace exports.
+// PERFDMF_WAL), phase attribution for admission and lock waits, and the
+// JSON / Chrome-trace exports.
 //
 // The contract under test (DESIGN.md "Observability"):
 //
@@ -38,7 +38,7 @@
 #include "sqldb/database.h"
 #include "sqldb/system_tables.h"
 #include "telemetry/metrics.h"
-#include "telemetry/span.h"
+#include "telemetry/trace.h"
 #include "util/error.h"
 #include "util/json.h"
 
@@ -416,6 +416,52 @@ TEST(AdmissionPhase, WaitIsAttributedToAdmissionNotExecute) {
   }
   telemetry::set_slow_query_threshold_ms(saved);
   shared->governor().configure({0, 0, 0});  // disable again
+}
+
+// ------------------------------------------------ lock-wait attribution
+
+// One PhaseTimer feeds both views of a statement blocked on the writer
+// lock: the live 'lock_wait' label in PERFDMF_STATEMENTS while it waits
+// (telemetry-independent), and the lock_wait_ms column of its
+// PERFDMF_SLOW_QUERIES row once it has finished.
+TEST(LockWaitPhase, OneTimerFeedsTheLiveLabelAndTheSlowQueryRow) {
+  auto shared = std::make_shared<Database>();
+  Connection writer(shared);
+  writer.execute_update("CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER)");
+
+  const double saved = telemetry::slow_query_threshold_ms();
+  telemetry::set_slow_query_threshold_ms(0.0);  // every statement is "slow"
+  telemetry::TraceRing::instance().clear();
+
+  const std::string insert = "INSERT INTO t (v) VALUES (42)";
+  writer.begin();  // the open transaction holds the writer lock
+  std::thread blocked([&] {
+    Connection c(shared);
+    c.execute_update(insert);
+  });
+  bool seen_lock_wait = false;
+  for (int i = 0; i < 2000 && !seen_lock_wait; ++i) {
+    auto rs = writer.execute(
+        "SELECT COUNT(*) FROM PERFDMF_STATEMENTS WHERE phase = 'lock_wait'");
+    rs.next();
+    seen_lock_wait = rs.get_int(1) >= 1;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_TRUE(seen_lock_wait);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  writer.commit();
+  blocked.join();
+  telemetry::set_slow_query_threshold_ms(saved);
+
+  if (telemetry::compiled_in()) {
+    auto rs = writer.execute(
+        "SELECT lock_wait_ms FROM PERFDMF_SLOW_QUERIES WHERE sql = '" +
+        insert + "'");
+    ASSERT_EQ(rs.row_count(), 1u);
+    rs.next();
+    EXPECT_GT(rs.get_double(1), 0.0)
+        << "the writer-lock wait must land in the lock_wait phase";
+  }
 }
 
 // ------------------------------------------------------------- exports

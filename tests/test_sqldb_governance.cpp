@@ -405,15 +405,15 @@ TEST_F(Governance, AdmissionQueueDrainsInFifoOrder) {
   shared->governor().configure({1, 16, /*queue_timeout_ms=*/10000});
 
   writer.begin();  // everyone below queues behind this transaction
-  std::mutex order_mutex;
-  std::vector<int> completion_order;
   std::vector<std::thread> threads;
   for (int i = 0; i < 3; ++i) {
     threads.emplace_back([&, i] {
+      // The row id records the order the statements ran in while holding
+      // the single slot, i.e. the admission order. (Recording order after
+      // the statement returns would race the next admitted statement.)
       Connection conn(shared);
-      conn.execute("SELECT COUNT(*) FROM t");
-      std::lock_guard<std::mutex> lock(order_mutex);
-      completion_order.push_back(i);
+      conn.execute_update("INSERT INTO t (v) VALUES (" + std::to_string(i) +
+                          ")");
     });
     // Arrival order is the queue order: wait until thread i is queued
     // before launching thread i+1.
@@ -428,7 +428,10 @@ TEST_F(Governance, AdmissionQueueDrainsInFifoOrder) {
   writer.commit();
   for (auto& t : threads) t.join();
 
-  EXPECT_EQ(completion_order, (std::vector<int>{0, 1, 2}));
+  std::vector<int> admission_order;
+  auto rs = writer.execute("SELECT v FROM t ORDER BY id");
+  while (rs.next()) admission_order.push_back(static_cast<int>(rs.get_int(1)));
+  EXPECT_EQ(admission_order, (std::vector<int>{0, 1, 2}));
 }
 
 // ------------------------------------------------ lock-manager guards

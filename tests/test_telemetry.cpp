@@ -1,10 +1,11 @@
 // Tests for the self-hosted telemetry layer: the metrics registry and
 // its histogram percentiles, the slow-query trace ring, the
 // PERFDMF_METRICS / PERFDMF_SLOW_QUERIES virtual tables (queried through
-// plain SQL), and the log/span plumbing underneath. Recording-dependent
-// assertions are gated on telemetry::compiled_in() so the suite also
-// passes under -DPERFDMF_TELEMETRY=OFF, where every recording is
-// compiled out but the registry and system tables still exist.
+// plain SQL), and the log/statement-record plumbing underneath.
+// Recording-dependent assertions are gated on telemetry::compiled_in() so
+// the suite also passes under -DPERFDMF_TELEMETRY=OFF, where every
+// recording is compiled out but the registry and system tables still
+// exist.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,7 +18,7 @@
 #include "sqldb/connection.h"
 #include "sqldb/system_tables.h"
 #include "telemetry/metrics.h"
-#include "telemetry/span.h"
+#include "telemetry/trace.h"
 #include "util/error.h"
 #include "util/log.h"
 
