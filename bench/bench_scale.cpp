@@ -8,16 +8,22 @@
 // bulk-load it through the API, and run representative queries. The paper
 // reports no absolute numbers — the shape to reproduce is: row counts grow
 // to ~1.6M, load time stays near-linear in rows, and queries stay usable.
+// load_rows_per_s_ratio (rows/s at the largest size over rows/s at 256
+// procs) states "near-linear" as one machine-independent number. The
+// largest trial is also uploaded into a durable archive, which is then
+// closed (checkpoint) and reopened (snapshot load).
 //
 // Usage: bench_scale [--quick]   (--quick stops at 4K processors)
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "api/database_session.h"
 #include "bench_json.h"
 #include "io/synth.h"
+#include "util/file.h"
 #include "util/timer.h"
 
 using namespace perfdmf;
@@ -35,15 +41,19 @@ int main(int argc, char** argv) {
   std::printf("%8s %12s %10s %12s %12s %12s %12s\n", "procs", "points",
               "gen(s)", "load(s)", "rows/s", "event-q(ms)", "agg-q(ms)");
 
-  for (std::int32_t procs : sizes) {
+  auto miranda_trial = [](std::int32_t procs) {
     io::synth::TrialSpec spec;
     spec.name = "miranda." + std::to_string(procs) + "p";
     spec.nodes = procs;
     spec.event_count = 101;
     spec.imbalance = 0.08;
-
+    return io::synth::generate_trial(spec);
+  };
+  double first_rows_per_s = 0.0;
+  double last_rows_per_s = 0.0;
+  for (std::int32_t procs : sizes) {
     util::WallTimer timer;
-    auto trial = io::synth::generate_trial(spec);
+    auto trial = miranda_trial(procs);
     const double generate_seconds = timer.seconds();
     const std::size_t points = trial.interval_point_count();
 
@@ -63,18 +73,49 @@ int main(int argc, char** argv) {
         trial_id, events.front().id, "exclusive");
     const double aggregate_ms = timer.millis();
 
+    const double rows_per_s = static_cast<double>(points) / load_seconds;
     std::printf("%8d %12zu %10.2f %12.2f %12.0f %12.2f %12.2f\n", procs, points,
-                generate_seconds, load_seconds,
-                static_cast<double>(points) / load_seconds, event_query_ms,
+                generate_seconds, load_seconds, rows_per_s, event_query_ms,
                 aggregate_ms);
     (void)aggregate;
 
     const std::string prefix = "p" + std::to_string(procs) + "_";
     json.set(prefix + "load_s", load_seconds);
-    json.set(prefix + "load_rows_per_s",
-             static_cast<double>(points) / load_seconds);
+    json.set(prefix + "load_rows_per_s", rows_per_s);
     json.set(prefix + "aggregate_ms", aggregate_ms);
+    if (procs == sizes.front()) first_rows_per_s = rows_per_s;
+    last_rows_per_s = rows_per_s;
   }
+  const double ratio = last_rows_per_s / first_rows_per_s;
+  std::printf("\nrows/s at %d procs over rows/s at %d procs: %.2f\n",
+              sizes.back(), sizes.front(), ratio);
+  json.set("load_rows_per_s_ratio", ratio);
+
+  // The largest trial once more, into a durable archive: upload (WAL),
+  // close (checkpoint) and reopen (snapshot load).
+  double durable_upload_s = 0.0;
+  double durable_close_s = 0.0;
+  double durable_reopen_s = 0.0;
+  {
+    const auto trial = miranda_trial(sizes.back());
+    util::ScopedTempDir dir("perfdmf-scale");
+    auto durable = std::make_unique<api::DatabaseSession>(dir.path());
+    util::WallTimer timer;
+    durable->save_trial(trial, "miranda", "bgl");
+    durable_upload_s = timer.seconds();
+    timer.reset();
+    durable.reset();
+    durable_close_s = timer.seconds();
+    timer.reset();
+    durable = std::make_unique<api::DatabaseSession>(dir.path());
+    durable_reopen_s = timer.seconds();
+  }
+  std::printf("durable archive at %d procs: upload %.2f s, close %.2f s,"
+              " reopen %.2f s\n",
+              sizes.back(), durable_upload_s, durable_close_s, durable_reopen_s);
+  json.set("durable_upload_ms", durable_upload_s * 1e3);
+  json.set("durable_close_ms", durable_close_s * 1e3);
+  json.set("durable_reopen_ms", durable_reopen_s * 1e3);
   std::printf("\npaper claim: 16384 procs x 101 events = ~1.65M points handled"
               " without problems\n");
 

@@ -121,8 +121,6 @@ void bootstrap_schema(sqldb::Connection& connection) {
 
       // ---- secondary indexes beyond the automatic PK/FK ones ----
       "CREATE INDEX idx_ilp_node ON interval_location_profile (node)",
-      "CREATE INDEX idx_ilp_metric ON interval_location_profile (metric)",
-      "CREATE INDEX idx_event_trial ON interval_event (trial)",
   };
   for (const char* sql : kDdl) {
     connection.execute_update(sql);

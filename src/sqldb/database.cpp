@@ -652,20 +652,14 @@ void Database::run_create_table(const CreateTableStatement& stmt) {
   }
   if (in_txn_) throw DbError("DDL inside a transaction is not supported");
   // Validate foreign keys up front so a broken schema never enters the
-  // catalog (self-references are allowed).
+  // catalog (self-references are allowed; Table rejects unknown columns).
   for (const auto& fk : stmt.schema.foreign_keys()) {
-    stmt.schema.column_index_or_throw(fk.column);
     if (!util::iequals(fk.parent_table, stmt.schema.name()) &&
         !has_table(fk.parent_table)) {
       throw DbError("foreign key references unknown table " + fk.parent_table);
     }
   }
   auto t = std::make_unique<Table>(stmt.schema);
-  // Index FK columns: parent lookups and restrict-on-delete checks must
-  // not scan (this matches the DDL PerfDMF ships for its supported DBMSs).
-  for (const auto& fk : stmt.schema.foreign_keys()) {
-    t->create_index(stmt.schema.column_index_or_throw(fk.column), /*unique=*/false);
-  }
   tables_.emplace(key, std::move(t));
   table_order_.push_back(stmt.schema.name());
 }
@@ -782,23 +776,19 @@ void Database::check_foreign_keys_delete(const Table& t, const Row& row,
       const std::size_t child_column =
           child->schema().column_index_or_throw(fk.column);
       bool referenced = false;
-      if (auto hits = child->index_equal(child_column, value)) {
-        // When the child is the same table as the parent, the row being
-        // deleted may reference itself; that is fine. Stale index hits
-        // are filtered by resolving against the writer's view.
-        for (RowId id : *hits) {
-          const Row* child_row = child->fetch(id, view);
-          if (child_row == nullptr || (*child_row)[child_column] != value) {
-            continue;
-          }
-          if (child.get() == &t && *child_row == row) continue;
-          referenced = true;
-          break;
+      // Table indexes every FK column. When the child is the same table
+      // as the parent, the row being deleted may reference itself; that
+      // is fine. Stale index hits are filtered by resolving against the
+      // writer's view.
+      const auto hits = child->index_equal(child_column, value).value();
+      for (RowId id : hits) {
+        const Row* child_row = child->fetch(id, view);
+        if (child_row == nullptr || (*child_row)[child_column] != value) {
+          continue;
         }
-      } else {
-        child->scan(view, [&](RowId, const Row& child_row) {
-          if (child_row[child_column] == value) referenced = true;
-        });
+        if (child.get() == &t && *child_row == row) continue;
+        referenced = true;
+        break;
       }
       if (referenced) {
         throw DbError("cannot delete from " + t.schema().name() + ": row " +
@@ -1011,7 +1001,8 @@ void Database::checkpoint() {
 std::string Database::render_snapshot(std::uint64_t watermark) const {
   // Text format, mirroring the WAL value encoding:
   //   TABLE <name>\n COLS <n>\n per-column lines\n FKS <n>\n ... ROWS <n>\n
-  // sealed by a trailing "SUM <crc32-hex8>" line over everything above.
+  // then one "INDEX <table> <column> <0|1>" line per index, sealed by a
+  // trailing "SUM <crc32-hex8>" line over everything above.
   std::string out = "PERFDB SNAPSHOT 2\n";
   out += "WALSEQ " + std::to_string(watermark) + "\n";
   for (const auto& name : view_order_) {
@@ -1041,6 +1032,17 @@ std::string Database::render_snapshot(std::uint64_t watermark) const {
     t.scan([&](RowId, const Row& row) {
       for (const auto& value : row) out += encode_value(value);
     });
+  }
+  // Indexes follow every table, so the loader builds each once over rows
+  // in place. Table's own PK/FK indexes are listed too (re-creating is a no-op).
+  for (const auto& name : table_order_) {
+    const Table& t = table(name);
+    const auto& columns = t.schema().columns();
+    for (std::size_t c = 0; c < columns.size(); ++c) {
+      if (!t.has_index(c)) continue;
+      out += "INDEX " + name + " " + columns[c].name +
+             (t.has_unique_index(c) ? " 1\n" : " 0\n");
+    }
   }
   char sum[32];
   std::snprintf(sum, sizeof sum, "SUM %08x\n", util::crc32(out));
@@ -1112,6 +1114,17 @@ std::uint64_t Database::load_snapshot(const std::filesystem::path& path) {
       pos += length + 1;  // skip trailing newline
       continue;
     }
+    if (util::starts_with(header, "INDEX ")) {
+      const auto fields = util::split_ws(header);
+      const auto it = fields.size() == 4 ? tables_.find(util::to_lower(fields[1]))
+                                         : tables_.end();
+      const auto column = it == tables_.end()
+                              ? std::nullopt
+                              : it->second->schema().find_column(fields[2]);
+      if (!column) throw ParseError("bad INDEX line in snapshot");
+      it->second->create_index(*column, fields[3] == "1");
+      continue;
+    }
     auto parts = util::split_ws_limit(header, 2);
     if (parts.size() != 2 || parts[0] != "TABLE") {
       throw ParseError("expected TABLE header in snapshot");
@@ -1160,9 +1173,6 @@ std::uint64_t Database::load_snapshot(const std::filesystem::path& path) {
         util::parse_int_or_throw(rows_line.substr(5), "snapshot rows"));
 
     auto t = std::make_unique<Table>(schema);
-    for (const auto& fk : schema.foreign_keys()) {
-      t->create_index(schema.column_index_or_throw(fk.column), /*unique=*/false);
-    }
     const std::size_t width = schema.columns().size();
     for (std::size_t r = 0; r < n_rows; ++r) {
       Row row;

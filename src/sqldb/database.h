@@ -79,15 +79,12 @@ class Database {
   void begin();
   void commit();
   void rollback();
-  bool in_transaction() const { return in_txn_; }
 
   /// Flush a snapshot and truncate the WAL (file-backed databases only).
   /// Atomic: the snapshot is written to a temp file, fsynced, and renamed
   /// over the old one (which is kept as snapshot.pdb.prev); a crash at
   /// any point leaves a recoverable store.
   void checkpoint();
-
-  bool is_persistent() const { return wal_ != nullptr; }
 
   /// What opening this database's files found and did. Empty (clean)
   /// for in-memory databases. Immutable after construction.

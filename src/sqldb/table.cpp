@@ -70,10 +70,11 @@ const RowVersion* Table::resolve_visible(const RowVersion* head,
 }
 
 Table::Table(TableSchema schema) : schema_(std::move(schema)) {
-  // The primary key always gets a unique index: PerfDMF point lookups
-  // (trial by id, event by id) must not scan.
-  if (auto pk = schema_.primary_key_index()) {
-    create_index(*pk, /*unique=*/true);
+  // Point lookups (trial by id), parent-key and restrict-on-delete checks
+  // must not scan; this matches the DDL PerfDMF ships for its DBMSs.
+  if (auto pk = schema_.primary_key_index()) create_index(*pk, /*unique=*/true);
+  for (const auto& fk : schema_.foreign_keys()) {
+    create_index(schema_.column_index_or_throw(fk.column), /*unique=*/false);
   }
 }
 
@@ -249,12 +250,6 @@ const Row* Table::fetch(RowId id, const ReadView& view) const {
   return v ? &v->data : nullptr;
 }
 
-const Row& Table::row(RowId id, const ReadView& view) const {
-  const Row* r = fetch(id, view);
-  if (!r) throw DbError("access to dead row in " + schema_.name());
-  return *r;
-}
-
 bool Table::collect_batch(
     RowId& next, std::vector<std::pair<RowId, const RowVersion*>>& out) const {
   constexpr std::size_t kBatch = 1024;
@@ -282,16 +277,7 @@ void Table::create_index(std::size_t column_index, bool unique) {
     return;
   }
   it->second.unique = unique;
-  // Index every non-aborted version so a writer creating an index
-  // mid-transaction can look up its own pending rows.
-  for (RowId id = 0; id < slots_.size(); ++id) {
-    for (const RowVersion* v = slots_[id].head.load(std::memory_order_relaxed);
-         v; v = v->older) {
-      std::uint64_t token = 0;
-      if (begin_ts_of(v, token) == kTsAborted) continue;
-      index_add_one(it->second, v->data[column_index], id);
-    }
-  }
+  build_index_locked(column_index, it->second);
 }
 
 bool Table::has_index(std::size_t column_index) const {
@@ -313,8 +299,6 @@ std::optional<std::vector<RowId>> Table::index_equal(std::size_t column_index,
   std::vector<RowId> out;
   auto [lo, hi] = it->second.entries.equal_range(key);
   for (auto e = lo; e != hi; ++e) out.push_back(e->second);
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;
 }
 
@@ -406,19 +390,21 @@ void Table::drop_column(const std::string& name) {
 }
 
 void Table::index_add(RowId id, const Row& row) {
-  for (auto& [column, index] : indexes_) {
-    index_add_one(index, row[column], id);
-  }
+  for (auto& [column, index] : indexes_) index.entries.emplace(row[column], id);
 }
 
-void Table::index_add_one(Index& index, const Value& key, RowId id) {
-  // One entry per (key, slot) pair: a second version with the same key
-  // would only produce duplicate candidates.
-  auto [lo, hi] = index.entries.equal_range(key);
-  for (auto it = lo; it != hi; ++it) {
-    if (it->second == id) return;
+void Table::build_index_locked(std::size_t column_index, Index& index) {
+  // Every non-aborted version, so a writer creating an index
+  // mid-transaction can look up its own pending rows.
+  index.entries.clear();
+  for (RowId id = 0; id < slots_.size(); ++id) {
+    for (const RowVersion* v = slots_[id].head.load(std::memory_order_relaxed);
+         v; v = v->older) {
+      std::uint64_t token = 0;
+      if (begin_ts_of(v, token) == kTsAborted) continue;
+      index.entries.emplace(v->data[column_index], id);
+    }
   }
-  index.entries.emplace(key, id);
 }
 
 // --- Vacuum ---------------------------------------------------------------
@@ -428,7 +414,6 @@ std::size_t Table::vacuum() {
   std::size_t reclaimed = 0;
   std::int64_t live = 0;
   free_slots_.clear();
-  for (auto& [column, index] : indexes_) index.entries.clear();
   for (RowId id = 0; id < slots_.size(); ++id) {
     RowVersion* head = slots_[id].head.load(std::memory_order_relaxed);
     // The newest committed version decides the slot's fate: alive rows keep
@@ -459,7 +444,6 @@ std::size_t Table::vacuum() {
       survivor->end_cache.store(0, std::memory_order_relaxed);
       survivor->older = nullptr;
       slots_[id].head.store(survivor, std::memory_order_relaxed);
-      index_add(id, survivor->data);
       ++live;
     } else {
       slots_[id].head.store(nullptr, std::memory_order_relaxed);
@@ -471,6 +455,7 @@ std::size_t Table::vacuum() {
     slots_.pop_back();
   }
   slot_high_.store(slots_.size(), std::memory_order_release);
+  for (auto& [column, index] : indexes_) build_index_locked(column, index);
   free_slots_.erase(std::remove_if(free_slots_.begin(), free_slots_.end(),
                                    [&](RowId id) { return id >= slots_.size(); }),
                     free_slots_.end());

@@ -13,7 +13,7 @@
 // version introduces the key and never removed by DML, so lookups can
 // return slots whose visible version no longer matches. Every caller
 // re-checks the predicate against the resolved version; vacuum rebuilds
-// the maps exactly.
+// the sets exactly.
 //
 // Thread contract: concurrent calls are safe between any number of readers
 // (fetch/scan/index_* with a ReadView) and ONE writer (insert/update/erase
@@ -27,6 +27,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <shared_mutex>
 #include <vector>
 
@@ -91,12 +92,6 @@ class Table {
   /// vacuum(), which requires full exclusion.
   const Row* fetch(RowId id, const ReadView& view) const;
 
-  bool is_live(RowId id, const ReadView& view) const {
-    return fetch(id, view) != nullptr;
-  }
-
-  const Row& row(RowId id, const ReadView& view) const;
-
   /// Visit every row `view` sees, in slot order. Slot heads are copied out
   /// in batches under a short shared latch so a long scan never starves
   /// the writer.
@@ -134,8 +129,8 @@ class Table {
   bool has_index(std::size_t column_index) const;
   bool has_unique_index(std::size_t column_index) const;
 
-  /// RowIds whose column equals `key` (via an index when present, else
-  /// nullopt so the caller falls back to a scan). May include slots whose
+  /// RowIds whose column equals `key`, in slot order (nullopt without an
+  /// index, so the caller falls back to a scan). May include slots whose
   /// visible version no longer carries the key — callers re-check.
   std::optional<std::vector<RowId>> index_equal(std::size_t column_index,
                                                 const Value& key) const;
@@ -183,16 +178,30 @@ class Table {
   struct Slot {
     std::atomic<RowVersion*> head{nullptr};
   };
+  using IndexEntry = std::pair<Value, RowId>;
+  /// Entries sort by key, then slot; a bare key compares against the key
+  /// alone, so equal_range/lower_bound/upper_bound take a Value.
+  struct EntryOrder {
+    using is_transparent = void;
+    bool operator()(const IndexEntry& a, const IndexEntry& b) const {
+      const int c = a.first.compare(b.first);
+      return c < 0 || (c == 0 && a.second < b.second);
+    }
+    bool operator()(const IndexEntry& a, const Value& k) const { return a.first < k; }
+    bool operator()(const Value& k, const IndexEntry& b) const { return k < b.first; }
+  };
   struct Index {
     bool unique = false;
-    std::multimap<Value, RowId> entries;
+    std::set<IndexEntry, EntryOrder> entries;
   };
 
   Row normalize(Row row) const;
   Row prepare_insert(Row row);
-  /// Add (row[column], id) to every index, skipping pairs already present.
+  /// Add (row[column], id) to every index (a repeated pair is a no-op).
   void index_add(RowId id, const Row& row);
-  void index_add_one(Index& index, const Value& key, RowId id);
+  /// Refill `index` from every non-aborted version of every slot. Caller
+  /// holds the exclusive latch.
+  void build_index_locked(std::size_t column_index, Index& index);
   void check_unique_locked(const Row& row, std::optional<RowId> self,
                            const ReadView& view) const;
   /// Pop a reusable committed-deleted slot, or allocate a fresh one.

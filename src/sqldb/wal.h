@@ -143,7 +143,6 @@ class Wal {
   /// replayed tail); continue numbering from above it.
   void set_next_seq(std::uint64_t next);
 
-  void set_sync_mode(SyncMode mode) { sync_ = mode; }
   SyncMode sync_mode() const { return sync_; }
 
   const std::filesystem::path& path() const { return path_; }

@@ -1,9 +1,11 @@
 // Execution tests for the SQL engine: DDL, DML, SELECT machinery,
 // constraints, and transactions, through the JDBC-like Connection layer.
 #include <gtest/gtest.h>
+#include <time.h>
 
 #include "sqldb/connection.h"
 #include "sqldb/parser.h"
+#include "sqldb/table.h"
 #include "util/error.h"
 
 using namespace perfdmf::sqldb;
@@ -928,6 +930,84 @@ TEST_F(ExecTest, PlanCacheCountsHitsAndHonorsCapacity) {
   conn.execute("SELECT 3");
   conn.execute("SELECT 4");
   EXPECT_GE(conn.plan_cache_stats().evictions, 2u);
+}
+
+}  // namespace
+
+// ------------------------------------------------------ index complexity
+
+namespace {
+
+Value int_value(std::int64_t v) { return Value(v); }
+
+/// Two INTEGER columns, (k, v), with an ordinary index on k.
+Table make_keyed_table() {
+  TableSchema schema("keyed");
+  for (const char* name : {"k", "v"}) {
+    ColumnDef column;
+    column.name = name;
+    column.type = ValueType::kInt;
+    schema.add_column(std::move(column));
+  }
+  return Table(std::move(schema));
+}
+
+/// CPU time of the calling thread: preemption by other processes does not
+/// count, so a cost ratio measured with it holds on a loaded machine.
+double thread_cpu_seconds() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) * 1e-9;
+}
+
+TEST(TableIndex, OneKeyBulkLoadStaysLinearAndKeepsTheEntryContract) {
+  const ReadView latest = ReadView::latest();
+  {
+    // Entry contract: one entry per (key, slot), stale keys kept until
+    // vacuum, ranges deduplicated by slot.
+    Table t = make_keyed_table();
+    t.create_index(0, /*unique=*/false);
+    const RowId a = t.insert(Row{int_value(1), int_value(0)});
+    t.update(a, Row{int_value(1), int_value(1)}, nullptr, latest);
+    EXPECT_EQ(*t.index_equal(0, int_value(1)), std::vector<RowId>{a});
+    t.update(a, Row{int_value(2), int_value(2)}, nullptr, latest);
+    // The slot is a candidate under both keys; the caller's re-check
+    // against the visible version rejects the stale one.
+    EXPECT_EQ(*t.index_equal(0, int_value(1)), std::vector<RowId>{a});
+    EXPECT_EQ(*t.index_equal(0, int_value(2)), std::vector<RowId>{a});
+    EXPECT_EQ((*t.fetch(a, latest))[0], int_value(2));
+    EXPECT_EQ(*t.index_range(0, int_value(1), int_value(2)),
+              std::vector<RowId>{a});
+    t.vacuum();
+    EXPECT_TRUE(t.index_equal(0, int_value(1))->empty());
+    EXPECT_EQ(*t.index_equal(0, int_value(2)), std::vector<RowId>{a});
+  }
+
+  // Every row under one key — the shape of a one-metric trial under the
+  // metric FK index. Per-row cost over 100K rows must stay within 3x the
+  // per-row cost over the first 10K; an index that scanned a key's
+  // entries on each insert would grow it ~10x. The budget is checked as
+  // rows go in, so a quadratic path fails within seconds instead of
+  // running on.
+  constexpr std::size_t kSmall = 10'000;
+  constexpr std::size_t kLarge = 100'000;
+  constexpr double kMaxRatio = 3.0;
+  const Value key = int_value(7);
+  Table t = make_keyed_table();
+  t.create_index(0, /*unique=*/false);
+  double small_per_row = 0.0;
+  const double start = thread_cpu_seconds();
+  for (std::size_t i = 1; i <= kLarge; ++i) {
+    t.insert(Row{key, int_value(static_cast<std::int64_t>(i))});
+    if (i % 1000 != 0) continue;
+    const double spent = thread_cpu_seconds() - start;
+    if (i == kSmall) small_per_row = spent / kSmall;
+    if (i <= kSmall) continue;
+    ASSERT_LE(spent, kMaxRatio * small_per_row * static_cast<double>(i))
+        << "after " << i << " rows; per-row cost over the first " << kSmall
+        << " was " << small_per_row * 1e6 << " us";
+  }
+  EXPECT_EQ(t.index_equal(0, key)->size(), kLarge);
 }
 
 }  // namespace

@@ -668,6 +668,49 @@ TEST(Persistence, IndexesRebuiltAfterReload) {
   }
 }
 
+TEST(Persistence, IndexesSurviveReopenViaSnapshotAndWal) {
+  u::ScopedTempDir dir;
+  const auto db_dir = dir.path() / "db";
+  {
+    Connection conn(db_dir);
+    conn.execute_update(
+        "CREATE TABLE files (id INTEGER PRIMARY KEY, code INTEGER,"
+        " tag INTEGER, grp INTEGER)");
+    conn.execute_update(
+        "INSERT INTO files (code, tag, grp) VALUES (1, 10, 0), (2, 20, 0)");
+    conn.execute_update("CREATE UNIQUE INDEX files_code ON files (code)");
+    conn.execute_update("CREATE INDEX files_grp ON files (grp)");
+    conn.checkpoint();  // both indexes now live in the snapshot
+    conn.execute_update(
+        "CREATE UNIQUE INDEX files_tag ON files (tag)");  // in the WAL
+  }
+  auto plan = [](Connection& conn, const std::string& where) {
+    auto rs = conn.execute("EXPLAIN SELECT id FROM files WHERE " + where);
+    std::string out;
+    while (rs.next()) out += rs.get_string(1) + "\n";
+    return out;
+  };
+  // The second reopen loads the WAL's index from the snapshot the first
+  // session's close wrote.
+  for (int reopen = 0; reopen < 2; ++reopen) {
+    Connection conn(db_dir);
+    EXPECT_THROW(conn.execute_update(
+                     "INSERT INTO files (code, tag, grp) VALUES (1, 30, 0)"),
+                 perfdmf::DbError);
+    EXPECT_THROW(conn.execute_update(
+                     "INSERT INTO files (code, tag, grp) VALUES (3, 20, 0)"),
+                 perfdmf::DbError);
+    EXPECT_NE(plan(conn, "code = 1").find("unique-index-eq(code)"),
+              std::string::npos);
+    EXPECT_NE(plan(conn, "tag = 10").find("unique-index-eq(tag)"),
+              std::string::npos);
+    EXPECT_NE(plan(conn, "grp = 0").find("index-eq(grp)"), std::string::npos);
+    auto rs = conn.execute("SELECT COUNT(*) FROM files");
+    rs.next();
+    EXPECT_EQ(rs.get_int(1), 2);
+  }
+}
+
 TEST(Persistence, ViewsSurviveReopenViaSnapshotAndWal) {
   u::ScopedTempDir dir;
   const auto db_dir = dir.path() / "db";
