@@ -8,7 +8,8 @@
 # 50% — generous on purpose: cross-invocation throughput spread on
 # shared/containerised CPU measures ~35% even best-of-3, so the gate
 # catches halvings, not jitter. Tighten via PERFGUARD_THRESHOLD on
-# quiet dedicated hardware).
+# quiet dedicated hardware). Before perfguard, the pipeline benchmark is
+# smoke-run: every workload at tiny scale, outputs verified.
 #
 # Usage:
 #   scripts/check.sh            # all four configurations + perfguard
@@ -137,6 +138,13 @@ echo "=== chaos (robustness suites under ASan, fixed seed) ==="
 # explore different schedules locally.
 PERFDMF_SEED="${PERFDMF_SEED:-3405691582}" ctest --test-dir build-asan \
   --output-on-failure -j "$JOBS" -L robustness
+
+echo "=== pipeline benchmark smoke ==="
+# Every pipebench workload (miranda, archive, explore) at tiny scale,
+# untraced and traced, with output verification on — which includes the
+# archive agreeing with itself after close/reopen and after WAL recovery
+# — zero failed operations, and the metric set BENCHMARK.json declares.
+python3 pipebench/smoke_test.py
 
 run_perfguard
 

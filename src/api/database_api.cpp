@@ -31,43 +31,6 @@ bool is_core(const std::string& column, const std::vector<std::string>& core) {
   return false;
 }
 
-/// RAII transaction for multi-statement read-modify-write sequences that
-/// must not interleave with writers on sibling connections (the exclusive
-/// lock is held from begin() to commit()). Joins an enclosing transaction
-/// when the calling thread already owns one — the outer owner commits —
-/// and rolls back on destruction if commit() was never reached.
-class ScopedTransaction {
- public:
-  explicit ScopedTransaction(sqldb::Connection& connection)
-      : connection_(connection),
-        owned_(!connection.database().locks().owned_by_this_thread()) {
-    if (owned_) connection_.begin();
-  }
-
-  ~ScopedTransaction() {
-    if (owned_ && !done_) {
-      try {
-        connection_.rollback();
-      } catch (...) {
-        // Unwinding already; the original exception carries the cause.
-      }
-    }
-  }
-
-  void commit() {
-    if (owned_) connection_.commit();
-    done_ = true;
-  }
-
-  ScopedTransaction(const ScopedTransaction&) = delete;
-  ScopedTransaction& operator=(const ScopedTransaction&) = delete;
-
- private:
-  sqldb::Connection& connection_;
-  bool owned_;
-  bool done_ = false;
-};
-
 }  // namespace
 
 DatabaseAPI::DatabaseAPI(std::shared_ptr<sqldb::Connection> connection)
@@ -99,7 +62,7 @@ void DatabaseAPI::save_row_with_fields(
   // MAX(id) fetch after the INSERT can read a row another connection just
   // assigned. The transaction holds the exclusive lock across the whole
   // sequence, making it atomic against sibling connections.
-  ScopedTransaction txn(*connection_);
+  sqldb::ScopedTransaction txn(*connection_);
 
   // Discover the live column set (flexible schema, paper §3.2).
   auto meta = connection_->get_meta_data();
@@ -329,34 +292,29 @@ void DatabaseAPI::delete_trial(std::int64_t trial_id) {
     atomic_ids.push_back(event.id);
   }
 
-  connection_->begin();
-  try {
-    auto run_for = [&](const std::string& sql,
-                       const std::vector<std::int64_t>& ids) {
-      auto stmt = connection_->prepare(sql);
-      for (std::int64_t id : ids) {
-        stmt.set_int(1, id);
-        stmt.execute_update();
-      }
-    };
-    run_for("DELETE FROM interval_location_profile WHERE interval_event = ?",
-            event_ids);
-    run_for("DELETE FROM interval_total_summary WHERE interval_event = ?",
-            event_ids);
-    run_for("DELETE FROM interval_mean_summary WHERE interval_event = ?",
-            event_ids);
-    run_for("DELETE FROM atomic_location_profile WHERE atomic_event = ?",
-            atomic_ids);
-    run_for("DELETE FROM interval_event WHERE trial = ?", {trial_id});
-    run_for("DELETE FROM atomic_event WHERE trial = ?", {trial_id});
-    run_for("DELETE FROM metric WHERE trial = ?", {trial_id});
-    run_for("DELETE FROM analysis_result WHERE trial = ?", {trial_id});
-    run_for("DELETE FROM trial WHERE id = ?", {trial_id});
-    connection_->commit();
-  } catch (...) {
-    connection_->rollback();
-    throw;
-  }
+  sqldb::ScopedTransaction txn(*connection_);
+  auto run_for = [&](const std::string& sql,
+                     const std::vector<std::int64_t>& ids) {
+    auto stmt = connection_->prepare(sql);
+    for (std::int64_t id : ids) {
+      stmt.set_int(1, id);
+      stmt.execute_update();
+    }
+  };
+  run_for("DELETE FROM interval_location_profile WHERE interval_event = ?",
+          event_ids);
+  run_for("DELETE FROM interval_total_summary WHERE interval_event = ?",
+          event_ids);
+  run_for("DELETE FROM interval_mean_summary WHERE interval_event = ?",
+          event_ids);
+  run_for("DELETE FROM atomic_location_profile WHERE atomic_event = ?",
+          atomic_ids);
+  run_for("DELETE FROM interval_event WHERE trial = ?", {trial_id});
+  run_for("DELETE FROM atomic_event WHERE trial = ?", {trial_id});
+  run_for("DELETE FROM metric WHERE trial = ?", {trial_id});
+  run_for("DELETE FROM analysis_result WHERE trial = ?", {trial_id});
+  run_for("DELETE FROM trial WHERE id = ?", {trial_id});
+  txn.commit();
 }
 
 // ------------------------------------------------------------ bulk upload
@@ -369,146 +327,143 @@ std::int64_t DatabaseAPI::upload_trial(const profile::TrialData& data,
   profile::Trial trial = data.trial();
   trial.id = profile::kNoId;
   trial.experiment_id = experiment_id;
+  // One transaction from the trial row to the last profile row: a
+  // failure anywhere leaves nothing behind, in memory or on disk.
+  sqldb::ScopedTransaction txn(*connection_);
   save_trial(trial, extend_schema);
 
-  connection_->begin();
-  try {
-    // Metrics.
-    std::vector<std::int64_t> metric_ids;
-    {
-      auto stmt = connection_->prepare(
-          "INSERT INTO metric (trial, name, derived) VALUES (?, ?, ?)");
-      for (const auto& metric : data.metrics()) {
-        stmt.set_int(1, trial.id);
-        stmt.set_string(2, metric.name);
-        stmt.set_int(3, metric.derived ? 1 : 0);
-        stmt.execute_update();
-      }
-      auto rs = connection_->execute(
-          "SELECT id FROM metric WHERE trial = " + std::to_string(trial.id) +
-          " ORDER BY id");
-      while (rs.next()) metric_ids.push_back(rs.get_int(1));
+  // Metrics.
+  std::vector<std::int64_t> metric_ids;
+  {
+    auto stmt = connection_->prepare(
+        "INSERT INTO metric (trial, name, derived) VALUES (?, ?, ?)");
+    for (const auto& metric : data.metrics()) {
+      stmt.set_int(1, trial.id);
+      stmt.set_string(2, metric.name);
+      stmt.set_int(3, metric.derived ? 1 : 0);
+      stmt.execute_update();
     }
-
-    // Interval events.
-    std::vector<std::int64_t> event_ids;
-    {
-      auto stmt = connection_->prepare(
-          "INSERT INTO interval_event (trial, name, group_name) VALUES (?, ?, ?)");
-      for (const auto& event : data.events()) {
-        stmt.set_int(1, trial.id);
-        stmt.set_string(2, event.name);
-        stmt.set_string(3, event.group);
-        stmt.execute_update();
-      }
-      auto rs = connection_->execute(
-          "SELECT id FROM interval_event WHERE trial = " +
-          std::to_string(trial.id) + " ORDER BY id");
-      while (rs.next()) event_ids.push_back(rs.get_int(1));
-    }
-
-    // Atomic events.
-    std::vector<std::int64_t> atomic_ids;
-    {
-      auto stmt = connection_->prepare(
-          "INSERT INTO atomic_event (trial, name, group_name) VALUES (?, ?, ?)");
-      for (const auto& event : data.atomic_events()) {
-        stmt.set_int(1, trial.id);
-        stmt.set_string(2, event.name);
-        stmt.set_string(3, event.group);
-        stmt.execute_update();
-      }
-      auto rs = connection_->execute("SELECT id FROM atomic_event WHERE trial = " +
-                                     std::to_string(trial.id) + " ORDER BY id");
-      while (rs.next()) atomic_ids.push_back(rs.get_int(1));
-    }
-
-    // Location profiles (the bulk of the data: one row per point).
-    {
-      auto stmt = connection_->prepare(
-          "INSERT INTO interval_location_profile (interval_event, node, context,"
-          " thread, metric, inclusive_percentage, inclusive,"
-          " exclusive_percentage, exclusive, inclusive_per_call, num_calls,"
-          " num_subrs) VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)");
-      data.for_each_interval([&](std::size_t e, std::size_t t, std::size_t m,
-                                 const profile::IntervalDataPoint& p) {
-        const profile::ThreadId& id = data.threads()[t];
-        stmt.set_int(1, event_ids.at(e));
-        stmt.set_int(2, id.node);
-        stmt.set_int(3, id.context);
-        stmt.set_int(4, id.thread);
-        stmt.set_int(5, metric_ids.at(m));
-        stmt.set_double(6, p.inclusive_pct);
-        stmt.set_double(7, p.inclusive);
-        stmt.set_double(8, p.exclusive_pct);
-        stmt.set_double(9, p.exclusive);
-        stmt.set_double(10, p.inclusive_per_call);
-        stmt.set_double(11, p.num_calls);
-        stmt.set_double(12, p.num_subrs);
-        stmt.execute_update();
-      });
-    }
-
-    // Total & mean summary tables.
-    {
-      const auto summaries = profile::compute_interval_summaries(data);
-      auto insert_summary = [&](const char* table,
-                                const profile::IntervalSummary& s,
-                                const profile::IntervalDataPoint& p) {
-        auto stmt = connection_->prepare(
-            std::string("INSERT INTO ") + table +
-            " (interval_event, metric, inclusive_percentage, inclusive,"
-            " exclusive_percentage, exclusive, inclusive_per_call, num_calls,"
-            " num_subrs) VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)");
-        stmt.set_int(1, event_ids.at(s.event_index));
-        stmt.set_int(2, metric_ids.at(s.metric_index));
-        stmt.set_double(3, p.inclusive_pct);
-        stmt.set_double(4, p.inclusive);
-        stmt.set_double(5, p.exclusive_pct);
-        stmt.set_double(6, p.exclusive);
-        stmt.set_double(7, p.inclusive_per_call);
-        stmt.set_double(8, p.num_calls);
-        stmt.set_double(9, p.num_subrs);
-        stmt.execute_update();
-      };
-      for (const auto& s : summaries) {
-        insert_summary("interval_total_summary", s, s.total);
-        insert_summary("interval_mean_summary", s, s.mean);
-      }
-      uploaded_rows += 2 * summaries.size();
-    }
-
-    // Atomic location profiles.
-    {
-      auto stmt = connection_->prepare(
-          "INSERT INTO atomic_location_profile (atomic_event, node, context,"
-          " thread, sample_count, maximum_value, minimum_value, mean_value,"
-          " standard_deviation) VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)");
-      data.for_each_atomic([&](std::size_t a, std::size_t t,
-                               const profile::AtomicDataPoint& p) {
-        const profile::ThreadId& id = data.threads()[t];
-        stmt.set_int(1, atomic_ids.at(a));
-        stmt.set_int(2, id.node);
-        stmt.set_int(3, id.context);
-        stmt.set_int(4, id.thread);
-        stmt.set_double(5, p.sample_count);
-        stmt.set_double(6, p.maximum);
-        stmt.set_double(7, p.minimum);
-        stmt.set_double(8, p.mean);
-        stmt.set_double(9, p.std_dev);
-        stmt.execute_update();
-      });
-    }
-
-    connection_->commit();
-  } catch (...) {
-    connection_->rollback();
-    // Remove the orphaned trial row written before the transaction.
-    auto stmt = connection_->prepare("DELETE FROM trial WHERE id = ?");
-    stmt.set_int(1, trial.id);
-    stmt.execute_update();
-    throw;
+    auto rs = connection_->execute(
+        "SELECT id FROM metric WHERE trial = " + std::to_string(trial.id) +
+        " ORDER BY id");
+    while (rs.next()) metric_ids.push_back(rs.get_int(1));
   }
+
+  // Interval events.
+  std::vector<std::int64_t> event_ids;
+  {
+    auto stmt = connection_->prepare(
+        "INSERT INTO interval_event (trial, name, group_name) VALUES (?, ?, ?)");
+    for (const auto& event : data.events()) {
+      stmt.set_int(1, trial.id);
+      stmt.set_string(2, event.name);
+      stmt.set_string(3, event.group);
+      stmt.execute_update();
+    }
+    auto rs = connection_->execute(
+        "SELECT id FROM interval_event WHERE trial = " +
+        std::to_string(trial.id) + " ORDER BY id");
+    while (rs.next()) event_ids.push_back(rs.get_int(1));
+  }
+
+  // Atomic events.
+  std::vector<std::int64_t> atomic_ids;
+  {
+    auto stmt = connection_->prepare(
+        "INSERT INTO atomic_event (trial, name, group_name) VALUES (?, ?, ?)");
+    for (const auto& event : data.atomic_events()) {
+      stmt.set_int(1, trial.id);
+      stmt.set_string(2, event.name);
+      stmt.set_string(3, event.group);
+      stmt.execute_update();
+    }
+    auto rs = connection_->execute("SELECT id FROM atomic_event WHERE trial = " +
+                                   std::to_string(trial.id) + " ORDER BY id");
+    while (rs.next()) atomic_ids.push_back(rs.get_int(1));
+  }
+
+  // Location profiles (the bulk of the data: one row per point).
+  {
+    auto stmt = connection_->prepare(
+        "INSERT INTO interval_location_profile (interval_event, node, context,"
+        " thread, metric, inclusive_percentage, inclusive,"
+        " exclusive_percentage, exclusive, inclusive_per_call, num_calls,"
+        " num_subrs) VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)");
+    data.for_each_interval([&](std::size_t e, std::size_t t, std::size_t m,
+                               const profile::IntervalDataPoint& p) {
+      const profile::ThreadId& id = data.threads()[t];
+      stmt.set_int(1, event_ids.at(e));
+      stmt.set_int(2, id.node);
+      stmt.set_int(3, id.context);
+      stmt.set_int(4, id.thread);
+      stmt.set_int(5, metric_ids.at(m));
+      stmt.set_double(6, p.inclusive_pct);
+      stmt.set_double(7, p.inclusive);
+      stmt.set_double(8, p.exclusive_pct);
+      stmt.set_double(9, p.exclusive);
+      stmt.set_double(10, p.inclusive_per_call);
+      stmt.set_double(11, p.num_calls);
+      stmt.set_double(12, p.num_subrs);
+      stmt.execute_update();
+    });
+  }
+
+  // Total & mean summary tables.
+  {
+    const auto summaries = profile::compute_interval_summaries(data);
+    auto prepare_summary = [&](const char* table) {
+      return connection_->prepare(
+          std::string("INSERT INTO ") + table +
+          " (interval_event, metric, inclusive_percentage, inclusive,"
+          " exclusive_percentage, exclusive, inclusive_per_call, num_calls,"
+          " num_subrs) VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)");
+    };
+    auto total_stmt = prepare_summary("interval_total_summary");
+    auto mean_stmt = prepare_summary("interval_mean_summary");
+    auto insert_summary = [&](sqldb::PreparedStatement& stmt,
+                              const profile::IntervalSummary& s,
+                              const profile::IntervalDataPoint& p) {
+      stmt.set_int(1, event_ids.at(s.event_index));
+      stmt.set_int(2, metric_ids.at(s.metric_index));
+      stmt.set_double(3, p.inclusive_pct);
+      stmt.set_double(4, p.inclusive);
+      stmt.set_double(5, p.exclusive_pct);
+      stmt.set_double(6, p.exclusive);
+      stmt.set_double(7, p.inclusive_per_call);
+      stmt.set_double(8, p.num_calls);
+      stmt.set_double(9, p.num_subrs);
+      stmt.execute_update();
+    };
+    for (const auto& s : summaries) {
+      insert_summary(total_stmt, s, s.total);
+      insert_summary(mean_stmt, s, s.mean);
+    }
+    uploaded_rows += 2 * summaries.size();
+  }
+
+  // Atomic location profiles.
+  {
+    auto stmt = connection_->prepare(
+        "INSERT INTO atomic_location_profile (atomic_event, node, context,"
+        " thread, sample_count, maximum_value, minimum_value, mean_value,"
+        " standard_deviation) VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)");
+    data.for_each_atomic([&](std::size_t a, std::size_t t,
+                             const profile::AtomicDataPoint& p) {
+      const profile::ThreadId& id = data.threads()[t];
+      stmt.set_int(1, atomic_ids.at(a));
+      stmt.set_int(2, id.node);
+      stmt.set_int(3, id.context);
+      stmt.set_int(4, id.thread);
+      stmt.set_double(5, p.sample_count);
+      stmt.set_double(6, p.maximum);
+      stmt.set_double(7, p.minimum);
+      stmt.set_double(8, p.mean);
+      stmt.set_double(9, p.std_dev);
+      stmt.execute_update();
+    });
+  }
+
+  txn.commit();
 
   uploaded_rows += data.metrics().size() + data.events().size() +
                    data.atomic_events().size() + data.interval_point_count() +
@@ -737,14 +692,18 @@ AggregateSummary DatabaseAPI::aggregate_interval_column(std::int64_t trial_id,
   }
   if (!ok) throw InvalidArgument("not an aggregatable profile column: " + column);
 
+  // Driven from the event's profile rows through the FK index on
+  // p.interval_event, so the cost tracks one event's rows, not the
+  // archive; the join keeps the check that the event is the trial's.
   std::string sql = "SELECT COUNT(p." + column + "), MIN(p." + column +
                     "), MAX(p." + column + "), AVG(p." + column + "), STDDEV(p." +
                     column +
-                    ") FROM interval_event e JOIN interval_location_profile p"
-                    " ON p.interval_event = e.id WHERE e.trial = ? AND e.id = ?";
+                    ") FROM interval_location_profile p JOIN interval_event e"
+                    " ON e.id = p.interval_event"
+                    " WHERE p.interval_event = ? AND e.trial = ?";
   Params params;
-  params.push_back(Value(trial_id));
   params.push_back(Value(event_id));
+  params.push_back(Value(trial_id));
   if (filter.metric_id) {
     sql += " AND p.metric = ?";
     params.push_back(Value(*filter.metric_id));
@@ -782,49 +741,44 @@ std::int64_t DatabaseAPI::save_derived_metric(std::int64_t trial_id,
     event_id_of[event.name] = event.id;
   }
 
-  connection_->begin();
+  sqldb::ScopedTransaction txn(*connection_);
   std::int64_t metric_id = profile::kNoId;
-  try {
-    {
-      auto stmt = connection_->prepare(
-          "INSERT INTO metric (trial, name, derived) VALUES (?, ?, 1)");
-      stmt.set_int(1, trial_id);
-      stmt.set_string(2, metric_name);
-      stmt.execute_update();
-      auto rs = connection_->execute("SELECT MAX(id) FROM metric");
-      rs.next();
-      metric_id = rs.get_int(1);
-    }
+  {
     auto stmt = connection_->prepare(
-        "INSERT INTO interval_location_profile (interval_event, node, context,"
-        " thread, metric, inclusive_percentage, inclusive,"
-        " exclusive_percentage, exclusive, inclusive_per_call, num_calls,"
-        " num_subrs) VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)");
-    data.for_each_interval([&](std::size_t e, std::size_t t, std::size_t m,
-                               const profile::IntervalDataPoint& p) {
-      if (m != *metric_index) return;
-      auto it = event_id_of.find(data.events()[e].name);
-      if (it == event_id_of.end()) return;  // event unknown to the trial
-      const profile::ThreadId& id = data.threads()[t];
-      stmt.set_int(1, it->second);
-      stmt.set_int(2, id.node);
-      stmt.set_int(3, id.context);
-      stmt.set_int(4, id.thread);
-      stmt.set_int(5, metric_id);
-      stmt.set_double(6, p.inclusive_pct);
-      stmt.set_double(7, p.inclusive);
-      stmt.set_double(8, p.exclusive_pct);
-      stmt.set_double(9, p.exclusive);
-      stmt.set_double(10, p.inclusive_per_call);
-      stmt.set_double(11, p.num_calls);
-      stmt.set_double(12, p.num_subrs);
-      stmt.execute_update();
-    });
-    connection_->commit();
-  } catch (...) {
-    connection_->rollback();
-    throw;
+        "INSERT INTO metric (trial, name, derived) VALUES (?, ?, 1)");
+    stmt.set_int(1, trial_id);
+    stmt.set_string(2, metric_name);
+    stmt.execute_update();
+    auto rs = connection_->execute("SELECT MAX(id) FROM metric");
+    rs.next();
+    metric_id = rs.get_int(1);
   }
+  auto stmt = connection_->prepare(
+      "INSERT INTO interval_location_profile (interval_event, node, context,"
+      " thread, metric, inclusive_percentage, inclusive,"
+      " exclusive_percentage, exclusive, inclusive_per_call, num_calls,"
+      " num_subrs) VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)");
+  data.for_each_interval([&](std::size_t e, std::size_t t, std::size_t m,
+                             const profile::IntervalDataPoint& p) {
+    if (m != *metric_index) return;
+    auto it = event_id_of.find(data.events()[e].name);
+    if (it == event_id_of.end()) return;  // event unknown to the trial
+    const profile::ThreadId& id = data.threads()[t];
+    stmt.set_int(1, it->second);
+    stmt.set_int(2, id.node);
+    stmt.set_int(3, id.context);
+    stmt.set_int(4, id.thread);
+    stmt.set_int(5, metric_id);
+    stmt.set_double(6, p.inclusive_pct);
+    stmt.set_double(7, p.inclusive);
+    stmt.set_double(8, p.exclusive_pct);
+    stmt.set_double(9, p.exclusive);
+    stmt.set_double(10, p.inclusive_per_call);
+    stmt.set_double(11, p.num_calls);
+    stmt.set_double(12, p.num_subrs);
+    stmt.execute_update();
+  });
+  txn.commit();
   return metric_id;
 }
 
@@ -838,7 +792,7 @@ std::int64_t DatabaseAPI::save_analysis_result(std::int64_t trial_id,
   // connections; the transaction keeps the INSERT and the id fetch from
   // interleaving with another worker's insert (which would hand this
   // request someone else's result_id).
-  ScopedTransaction txn(*connection_);
+  sqldb::ScopedTransaction txn(*connection_);
   auto stmt = connection_->prepare(
       "INSERT INTO analysis_result (trial, name, kind, content)"
       " VALUES (?, ?, ?, ?)");

@@ -170,31 +170,26 @@ std::int64_t PerfDb::record_run(const BenchRun& run, std::string_view kind) {
   if (kind != "baseline" && kind != "current") {
     throw InvalidArgument("perf run kind must be 'baseline' or 'current'");
   }
-  connection_->begin();
-  try {
-    connection_->execute_update(
-        "INSERT INTO perf_runs (bench, git_sha, timestamp, schema_version,"
-        " kind) VALUES (?, ?, ?, ?, ?)",
-        {sqldb::Value(run.bench), sqldb::Value(run.git_sha),
-         sqldb::Value(run.timestamp), sqldb::Value(run.schema_version),
-         sqldb::Value(std::string(kind))});
-    auto rs = connection_->execute("SELECT MAX(id) FROM perf_runs");
-    rs.next();
-    const std::int64_t run_id = rs.get_int(1);
-    auto insert = connection_->prepare(
-        "INSERT INTO perf_metrics (run, name, value) VALUES (?, ?, ?)");
-    for (const auto& [name, value] : run.metrics) {
-      insert.set_int(1, run_id);
-      insert.set_string(2, name);
-      insert.set_double(3, value);
-      insert.execute_update();
-    }
-    connection_->commit();
-    return run_id;
-  } catch (...) {
-    connection_->rollback();
-    throw;
+  sqldb::ScopedTransaction txn(*connection_);
+  connection_->execute_update(
+      "INSERT INTO perf_runs (bench, git_sha, timestamp, schema_version,"
+      " kind) VALUES (?, ?, ?, ?, ?)",
+      {sqldb::Value(run.bench), sqldb::Value(run.git_sha),
+       sqldb::Value(run.timestamp), sqldb::Value(run.schema_version),
+       sqldb::Value(std::string(kind))});
+  auto rs = connection_->execute("SELECT MAX(id) FROM perf_runs");
+  rs.next();
+  const std::int64_t run_id = rs.get_int(1);
+  auto insert = connection_->prepare(
+      "INSERT INTO perf_metrics (run, name, value) VALUES (?, ?, ?)");
+  for (const auto& [name, value] : run.metrics) {
+    insert.set_int(1, run_id);
+    insert.set_string(2, name);
+    insert.set_double(3, value);
+    insert.execute_update();
   }
+  txn.commit();
+  return run_id;
 }
 
 std::int64_t PerfDb::latest_run(std::string_view bench, std::string_view kind) {

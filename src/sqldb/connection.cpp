@@ -7,6 +7,7 @@
 #include "sqldb/system_tables.h"
 #include "telemetry/metrics.h"
 #include "util/error.h"
+#include "util/log.h"
 #include "util/strings.h"
 
 namespace perfdmf::sqldb {
@@ -265,64 +266,55 @@ ResultSetData Connection::run_statement(StatementContext& ctx, Statement& stmt,
   const std::string_view sql = ctx.sql();
   LockManager& locks = database_->locks();
   const StatementClass cls = classify_statement(stmt);
+  const bool in_transaction = locks.owned_by_this_thread();
+  ResultSetData result;
 
-  if (locks.owned_by_this_thread()) {
-    // Inside this thread's transaction: the exclusive lock is already
-    // held (and the unit was admitted at BEGIN), so every statement
-    // passes straight through. COMMIT/ROLLBACK ends the transaction and
-    // releases (even the failure paths inside Database keep the
-    // transaction closed, so release unconditionally). The admission
-    // slot is released under the lock — after it another transaction
-    // could adopt a new slot concurrently.
-    if (cls == StatementClass::kTxnEnd) {
-      ResultSetData result;
-      try {
-        result = database_->execute(stmt, params, sql);
-      } catch (...) {
-        database_->release_txn_admission();
-        locks.release_transaction();
-        throw;
-      }
-      database_->release_txn_admission();
-      locks.release_transaction();
-      // Group commit: await the deferred fsync only after the writer
-      // mutex is released, so other committers can queue behind the
-      // same leader fsync instead of serializing on the lock.
-      database_->await_durability(ctx);
-      return result;
-    }
-    return database_->execute(stmt, params, sql);
-  }
-
-  if (cls == StatementClass::kTxnBegin) {
+  if (!in_transaction && cls == StatementClass::kTxnBegin) {
     // Admission strictly precedes the lock (deadlock-freedom ordering);
     // the slot then spans the whole BEGIN..COMMIT unit.
     AdmissionSlot slot = database_->governor().admit(&ctx);
     locks.acquire_transaction(&ctx);
     try {
-      ResultSetData result = database_->execute(stmt, params, sql);
-      database_->adopt_txn_admission(std::move(slot));
-      return result;
+      result = database_->execute(stmt, params, sql);
     } catch (...) {
       locks.release_transaction();
       throw;  // the slot's RAII releases it
     }
+    database_->adopt_txn_admission(std::move(slot));
+    return result;
   }
 
-  // kTxnEnd without an owned transaction still locks so the "COMMIT
-  // without BEGIN" diagnostic reads transaction state safely (no
-  // admission: it only reads state and reports an error).
-  AdmissionSlot slot = cls == StatementClass::kTxnEnd
-                           ? AdmissionSlot{}
-                           : database_->governor().admit(&ctx);
-  ResultSetData result;
-  {
+  if (in_transaction && cls == StatementClass::kTxnEnd) {
+    // COMMIT/ROLLBACK ends this thread's transaction whether or not it
+    // succeeds (Database closes it on every failure path too), so the
+    // slot and the lock are released unconditionally — the slot under
+    // the lock, since after it another transaction could adopt a new
+    // slot concurrently.
+    try {
+      result = database_->execute(stmt, params, sql);
+    } catch (...) {
+      database_->release_txn_admission();
+      locks.release_transaction();
+      throw;
+    }
+    database_->release_txn_admission();
+    locks.release_transaction();
+  } else {
+    // Inside this thread's transaction every other statement passes
+    // straight through: the unit was admitted at BEGIN and the guard
+    // takes no lock (except that DDL drains the readers). Outside one,
+    // the statement is admitted and locked on its own. COMMIT/ROLLBACK
+    // without a transaction still locks, so its "without BEGIN"
+    // diagnostic reads transaction state safely, but needs no admission.
+    AdmissionSlot slot = in_transaction || cls == StatementClass::kTxnEnd
+                             ? AdmissionSlot{}
+                             : database_->governor().admit(&ctx);
     StatementGuard guard(locks, cls, &ctx);
     result = database_->execute(stmt, params, sql);
   }
-  // An autocommitted DML statement under SyncMode::kAlways defers its
-  // fsync; awaiting it after the guard is what lets concurrent
-  // single-statement committers share one group fsync.
+  // Group commit: a WAL write that needs an fsync left its sequence
+  // number on ctx; await it only now that the writer mutex is released,
+  // so other committers can queue behind the same leader fsync.
   database_->await_durability(ctx);
   return result;
 }
@@ -461,61 +453,22 @@ void Connection::set_plan_cache_capacity(std::size_t capacity) {
   evict_to_capacity_locked();
 }
 
-void Connection::begin() {
-  LockManager& locks = database_->locks();
-  if (locks.owned_by_this_thread()) {
-    database_->begin();  // reports "nested transactions are not supported"
-    return;
-  }
-  // Same unit discipline as the SQL BEGIN path: admit, then lock; the
-  // slot rides on the database until commit()/rollback() releases it.
-  StatementContext ctx;
-  arm_governance(ctx);
-  AdmissionSlot slot = database_->governor().admit(&ctx);
-  locks.acquire_transaction(&ctx);
-  try {
-    database_->begin();
-    database_->adopt_txn_admission(std::move(slot));
-  } catch (...) {
-    locks.release_transaction();
-    throw;
-  }
-}
+void Connection::begin() { run_transaction_control(StatementKind::kBegin, "BEGIN"); }
 
 void Connection::commit() {
-  LockManager& locks = database_->locks();
-  if (!locks.owned_by_this_thread()) {
-    StatementGuard guard(locks, /*read_only=*/false);
-    database_->commit();  // reports "COMMIT without BEGIN"
-    return;
-  }
-  try {
-    database_->commit();
-  } catch (...) {
-    database_->release_txn_admission();
-    locks.release_transaction();
-    throw;
-  }
-  database_->release_txn_admission();
-  locks.release_transaction();
+  run_transaction_control(StatementKind::kCommit, "COMMIT");
 }
 
 void Connection::rollback() {
-  LockManager& locks = database_->locks();
-  if (!locks.owned_by_this_thread()) {
-    StatementGuard guard(locks, /*read_only=*/false);
-    database_->rollback();  // reports "ROLLBACK without BEGIN"
-    return;
-  }
-  try {
-    database_->rollback();
-  } catch (...) {
-    database_->release_txn_admission();
-    locks.release_transaction();
-    throw;
-  }
-  database_->release_txn_admission();
-  locks.release_transaction();
+  run_transaction_control(StatementKind::kRollback, "ROLLBACK");
+}
+
+void Connection::run_transaction_control(StatementKind kind,
+                                         std::string_view sql) {
+  Statement stmt;
+  stmt.kind = kind;
+  StatementContext ctx(sql);
+  run_statement(ctx, stmt, {});
 }
 
 void Connection::checkpoint() {
@@ -523,6 +476,30 @@ void Connection::checkpoint() {
   // stamps, so it must drain every snapshot reader, not just writers.
   StatementGuard guard(database_->locks(), StatementGuard::Level::kExclusive);
   database_->checkpoint();
+}
+
+// ----------------------------------------------------- ScopedTransaction
+
+ScopedTransaction::ScopedTransaction(Connection& connection)
+    : connection_(connection),
+      owned_(!connection.database().locks().owned_by_this_thread()) {
+  if (owned_) connection_.begin();
+}
+
+ScopedTransaction::~ScopedTransaction() {
+  if (!owned_ || done_) return;
+  try {
+    connection_.rollback();
+  } catch (const std::exception& e) {
+    // Unwinding already: the original exception carries the cause.
+    util::log_warn() << "rollback of an abandoned transaction failed: "
+                     << e.what();
+  }
+}
+
+void ScopedTransaction::commit() {
+  done_ = true;
+  if (owned_) connection_.commit();
 }
 
 }  // namespace perfdmf::sqldb

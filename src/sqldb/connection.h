@@ -174,9 +174,15 @@ class Connection {
 
   DatabaseMetaData get_meta_data() { return DatabaseMetaData(*this); }
 
-  /// Transactions hold the database's exclusive lock from begin() to
-  /// commit()/rollback() and are thread-affine: finish a transaction on
-  /// the thread that began it.
+  /// Transactions: begin()/commit()/rollback() execute BEGIN/COMMIT/
+  /// ROLLBACK exactly as execute("BEGIN") etc. would — one path, so an
+  /// API transaction is listed in PERFDMF_STATEMENTS, admitted once for
+  /// the whole unit, and its commit joins group commit (the fsync is
+  /// awaited after the writer mutex is released). A transaction holds
+  /// the writer mutex from BEGIN to COMMIT/ROLLBACK and is thread-affine:
+  /// finish it on the thread that began it. COMMIT ends the transaction
+  /// even when it throws. Prefer ScopedTransaction below to calling
+  /// these by hand.
   void begin();
   void commit();
   void rollback();
@@ -225,6 +231,8 @@ class Connection {
   /// and execute.
   ResultSetData run_statement(StatementContext& ctx, Statement& stmt,
                               const Params& params);
+  /// Run BEGIN/COMMIT/ROLLBACK (`kind`) through run_statement.
+  void run_transaction_control(StatementKind kind, std::string_view sql);
   /// Apply this connection's timeout/budget/cancel state to `ctx`.
   void arm_governance(StatementContext& ctx);
   /// Seed timeout/budget defaults from PERFDMF_STMT_TIMEOUT_MS and
@@ -267,6 +275,27 @@ class Connection {
   std::list<std::string> lru_;  // front = most recently used
   std::size_t cache_capacity_ = 64;
   PlanCacheStats cache_stats_;
+};
+
+/// The RAII transaction. Begins one on construction — or, when the
+/// calling thread already owns a transaction, joins it and leaves the
+/// commit to the outer owner — and rolls back on destruction unless
+/// commit() was reached. commit() ends the transaction even when it
+/// throws, so the error it raises (an IoError from the WAL, say) is the
+/// one the caller sees.
+class ScopedTransaction {
+ public:
+  explicit ScopedTransaction(Connection& connection);
+  ~ScopedTransaction();
+  void commit();
+
+  ScopedTransaction(const ScopedTransaction&) = delete;
+  ScopedTransaction& operator=(const ScopedTransaction&) = delete;
+
+ private:
+  Connection& connection_;
+  bool owned_;
+  bool done_ = false;
 };
 
 }  // namespace perfdmf::sqldb

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <sstream>
 #include <thread>
+#include <unordered_set>
 
 #include "sqldb/parser.h"
 #include "sqldb/statement_context.h"
@@ -384,7 +385,13 @@ ResultSetData Database::execute_parsed(Statement& stmt, const Params& params,
       } else {
         n = run_delete(stmt.del, params, unit.stamp(), unit.view());
       }
-      log_statement(sql, params);  // throw here aborts the unit's stamp
+      // A transaction's statements reach the WAL together at COMMIT; an
+      // autocommitted one now (a failed append aborts the unit's stamp).
+      if (!in_txn_) {
+        log_to_wal({{std::string(sql), params}}, /*commit=*/false);
+      } else if (wal_ && !replaying_) {
+        txn_wal_buffer_.emplace_back(sql, params);
+      }
       unit.succeed();
       return count_result(n);
     }
@@ -435,43 +442,25 @@ ResultSetData Database::dispatch_statement(Statement& stmt, const Params& params
       throw DbError("DML dispatched outside a write unit");  // unreachable
     case StatementKind::kCreateTable:
       run_create_table(stmt.create_table);
-      note_schema_change();
-      log_statement(sql, params);
-      return count_result(0);
+      break;
     case StatementKind::kDropTable:
       run_drop_table(stmt.drop_table);
-      note_schema_change();
-      log_statement(sql, params);
-      return count_result(0);
-    case StatementKind::kAlterAddColumn: {
-      Table& t = table(stmt.alter.table);
-      t.add_column(stmt.alter.column);
-      note_schema_change();
-      log_ddl(sql, params);
-      return count_result(0);
-    }
-    case StatementKind::kAlterDropColumn: {
-      Table& t = table(stmt.alter.table);
-      t.drop_column(stmt.alter.column_name);
-      note_schema_change();
-      log_ddl(sql, params);
-      return count_result(0);
-    }
+      break;
+    case StatementKind::kAlterAddColumn:
+      table(stmt.alter.table).add_column(stmt.alter.column);
+      break;
+    case StatementKind::kAlterDropColumn:
+      table(stmt.alter.table).drop_column(stmt.alter.column_name);
+      break;
     case StatementKind::kCreateIndex:
       run_create_index(stmt.create_index);
-      note_schema_change();
-      log_statement(sql, params);
-      return count_result(0);
+      break;
     case StatementKind::kCreateView:
       run_create_view(stmt.create_view);
-      note_schema_change();
-      log_statement(sql, params);
-      return count_result(0);
+      break;
     case StatementKind::kDropView:
       run_drop_view(stmt.drop_view);
-      note_schema_change();
-      log_statement(sql, params);
-      return count_result(0);
+      break;
     case StatementKind::kBegin:
       begin();
       return count_result(0);
@@ -482,7 +471,13 @@ ResultSetData Database::dispatch_statement(Statement& stmt, const Params& params
       rollback();
       return count_result(0);
   }
-  throw DbError("unreachable statement kind");
+  // Every kind left is a schema change. Rollback does not undo those, so
+  // their record bypasses the transaction buffer: a schema change inside a
+  // transaction that later rolls back must still be durable, or the
+  // recovered schema would diverge from the live one.
+  note_schema_change();
+  log_to_wal({{std::string(sql), params}}, /*commit=*/false);
+  return count_result(0);
 }
 
 // --------------------------------------------------------------- catalog
@@ -693,7 +688,20 @@ void Database::run_drop_table(const DropTableStatement& stmt) {
 
 void Database::run_create_index(const CreateIndexStatement& stmt) {
   Table& t = table(stmt.table);
-  t.create_index(t.schema().column_index_or_throw(stmt.column), stmt.unique);
+  const std::size_t column = t.schema().column_index_or_throw(stmt.column);
+  if (stmt.unique && !t.has_unique_index(column)) {
+    // Refuse before anything changes (no index, no WAL record) when the
+    // rows this statement sees already repeat a non-NULL key.
+    std::unordered_set<Value, ValueHash> keys;
+    t.scan(read_view(), [&](RowId, const Row& row) {
+      if (!row[column].is_null() && !keys.insert(row[column]).second) {
+        throw DbError("cannot create unique index on " + t.schema().name() +
+                      "." + stmt.column + ": duplicate key " +
+                      row[column].to_string());
+      }
+    });
+  }
+  t.create_index(column, stmt.unique);
 }
 
 void Database::run_create_view(const CreateViewStatement& stmt) {
@@ -831,52 +839,38 @@ void Database::begin() {
 
 void Database::commit() {
   if (!in_txn_) throw DbError("COMMIT without BEGIN");
-  if (wal_ && !replaying_ && !txn_wal_buffer_.empty()) {
-    StatementContext* ctx = StatementContext::current();
-    const bool defer = ctx != nullptr;
-    try {
-      std::uint64_t seq = 0;
-      governed_durable_write(
-          [&] { seq = wal_->append_batch(txn_wal_buffer_, defer); },
-          "commit (WAL batch append)");
-      // Group commit: the fsync is deferred until the Connection calls
-      // await_durability() after releasing the writer mutex, so many
-      // committing threads share one leader fsync.
-      if (defer && wal_->sync_mode() != SyncMode::kNone) {
-        ctx->set_pending_durable(seq);
-      }
-    } catch (...) {
-      // The batch never reached the log: abort every stamp so the
-      // in-memory state matches what recovery would reconstruct, then
-      // surface the IO failure. The transaction is over either way.
-      in_txn_ = false;
-      txn_intro_.open.store(false, std::memory_order_release);
-      txn_wal_buffer_.clear();
-      abort_txn_stamps();
-      clear_writer();
-      throw;
-    }
+  try {
+    log_to_wal(txn_wal_buffer_, /*commit=*/true);
+  } catch (...) {
+    // The batch never reached the log: abort every stamp so the
+    // in-memory state matches what recovery would reconstruct, then
+    // surface the IO failure. The transaction is over either way.
+    end_transaction(/*committed=*/false);
+    throw;
   }
-  in_txn_ = false;
-  txn_intro_.open.store(false, std::memory_order_release);
-  txn_wal_buffer_.clear();
-  publish_txn_stamps();
-  clear_writer();
-  static auto& commits =
-      telemetry::MetricsRegistry::instance().counter("sqldb.txn.commits");
-  commits.add();
+  end_transaction(/*committed=*/true);
 }
 
 void Database::rollback() {
   if (!in_txn_) throw DbError("ROLLBACK without BEGIN");
+  end_transaction(/*committed=*/false);
+}
+
+void Database::end_transaction(bool committed) {
   in_txn_ = false;
   txn_intro_.open.store(false, std::memory_order_release);
-  abort_txn_stamps();
   txn_wal_buffer_.clear();
+  if (committed) {
+    publish_txn_stamps();
+  } else {
+    abort_txn_stamps();
+  }
   clear_writer();
+  static auto& commits =
+      telemetry::MetricsRegistry::instance().counter("sqldb.txn.commits");
   static auto& rollbacks =
       telemetry::MetricsRegistry::instance().counter("sqldb.txn.rollbacks");
-  rollbacks.add();
+  (committed ? commits : rollbacks).add();
 }
 
 void Database::await_durability(StatementContext& ctx) {
@@ -885,31 +879,22 @@ void Database::await_durability(StatementContext& ctx) {
   governed_durable_write([&] { wal_->wait_durable(seq); }, "WAL fsync");
 }
 
-void Database::log_statement(std::string_view sql, const Params& params) {
-  if (!wal_ || replaying_) return;
-  if (in_txn_) {
-    txn_wal_buffer_.emplace_back(std::string(sql), params);
+void Database::log_to_wal(const std::vector<LoggedStatement>& statements,
+                          bool commit) {
+  if (!wal_ || replaying_ || statements.empty()) return;
+  const char* site = commit ? "wal.commit" : "wal.append";
+  std::uint64_t seq = 0;
+  governed_durable_write([&] { seq = wal_->append(statements, site); },
+                         commit ? "commit (WAL batch append)" : "WAL append");
+  const SyncMode sync = wal_->sync_mode();
+  if (sync == SyncMode::kNone || (sync == SyncMode::kOnCommit && !commit)) {
     return;
   }
-  // A failed append propagates to the WriteUnit, which aborts the
-  // statement's stamp — the in-memory effects vanish with it.
-  StatementContext* ctx = StatementContext::current();
-  const bool defer = ctx != nullptr;
-  std::uint64_t seq = 0;
-  governed_durable_write([&] { seq = wal_->append(sql, params, defer); },
-                         "WAL append");
-  if (defer && wal_->sync_mode() == SyncMode::kAlways) {
+  if (StatementContext* ctx = StatementContext::current()) {
     ctx->set_pending_durable(seq);
+    return;
   }
-}
-
-void Database::log_ddl(std::string_view sql, const Params& params) {
-  // Schema changes are not transactional (rollback does not undo them),
-  // so their WAL records bypass the transaction buffer: an ALTER inside a
-  // transaction that later rolls back must still be durable, or the
-  // recovered schema would diverge from the live one.
-  if (!wal_ || replaying_) return;
-  governed_durable_write([&] { wal_->append(sql, params); }, "WAL append (DDL)");
+  governed_durable_write([&] { wal_->wait_durable(seq); }, "WAL fsync");
 }
 
 // ------------------------------------------------------------ persistence

@@ -32,10 +32,9 @@
 #include "sqldb/lock_manager.h"
 #include "sqldb/statement_registry.h"
 #include "sqldb/table.h"
+#include "sqldb/wal.h"
 
 namespace perfdmf::sqldb {
-
-class Wal;
 
 class Database {
  public:
@@ -75,11 +74,7 @@ class Database {
   const std::string& view_sql(std::string_view name) const;
   std::vector<std::string> view_names() const;
 
-  // ----- transactions ---------------------------------------------------
-  void begin();
-  void commit();
-  void rollback();
-
+  // ----- persistence ----------------------------------------------------
   /// Flush a snapshot and truncate the WAL (file-backed databases only).
   /// Atomic: the snapshot is written to a temp file, fsynced, and renamed
   /// over the old one (which is kept as snapshot.pdb.prev); a crash at
@@ -107,13 +102,13 @@ class Database {
   /// WAL fsync (see Wal::wait_durable), block until it is durable. Called
   /// by the Connection AFTER releasing the statement's locks, so many
   /// committers can queue behind one leader fsync. ENOSPC degrades the
-  /// database to read-only exactly like an inline sync failure.
+  /// database to read-only exactly like a failed append.
   void await_durability(StatementContext& ctx);
 
   /// Reader-writer lock coordinating every Connection over this database.
   /// The Database itself never locks (recursive execution — view
   /// expansion, WAL replay — must not self-deadlock); callers hold the
-  /// appropriate lock around execute()/begin()/commit()/checkpoint().
+  /// appropriate lock around execute() and checkpoint().
   LockManager& locks() { return locks_; }
 
   /// Monotonic counter bumped by every DDL statement (CREATE/DROP
@@ -233,11 +228,23 @@ class Database {
   template <typename Fn>
   void governed_durable_write(Fn&& fn, const char* what);
 
-  void log_statement(std::string_view sql, const Params& params);
-  /// WAL-log a schema change immediately, bypassing the transaction
-  /// buffer (DDL is not undone by rollback, so it must not be lost with
-  /// a rolled-back batch).
-  void log_ddl(std::string_view sql, const Params& params);
+  /// The one WAL write path: append `statements` as one record (at the
+  /// "wal.commit" failpoint for a commit, "wal.append" otherwise) and make
+  /// it durable as SyncMode says — kAlways every record, kOnCommit only a
+  /// commit's. The fsync always goes through Wal::wait_durable: handed to
+  /// the current statement's record, which its Connection awaits after
+  /// releasing the locks (group commit), or awaited here when no
+  /// statement is in scope. No-op for in-memory databases, during replay
+  /// and for an empty list.
+  void log_to_wal(const std::vector<LoggedStatement>& statements, bool commit);
+  /// BEGIN / COMMIT / ROLLBACK, reached only by executing those
+  /// statements (the Connection holds the transaction's lock and
+  /// admission slot around them).
+  void begin();
+  void commit();
+  void rollback();
+  /// Close the open transaction: publish (commit) or abort its stamps.
+  void end_transaction(bool committed);
 
   /// The calling thread's write-unit token (non-zero only for the thread
   /// that owns the active write unit or transaction).
@@ -266,7 +273,7 @@ class Database {
   std::vector<std::string> view_order_;
 
   bool in_txn_ = false;
-  std::vector<std::pair<std::string, Params>> txn_wal_buffer_;
+  std::vector<LoggedStatement> txn_wal_buffer_;
 
   // MVCC state. commit_ts_ is the database-global commit timestamp
   // counter: readers snapshot it lock-free, and only the single write

@@ -19,7 +19,9 @@
 // Transactions are thread-affine: the thread that issues BEGIN owns the
 // writer mutex and must issue the matching COMMIT/ROLLBACK. While a
 // thread owns a transaction, all of its statements (on any connection
-// to the same database) pass through without re-locking.
+// to the same database) pass through without re-locking — except DDL,
+// which trades the transaction's drain-shared hold for the exclusive one
+// for its duration, because it rewrites what readers read.
 #pragma once
 
 #include <algorithm>
@@ -132,19 +134,7 @@ class LockManager {
   void lock_exclusive(StatementContext* ctx = nullptr) {
     lock_writer_mutex(ctx);
     try {
-      if (drain_.try_lock()) {
-        drain_exclusive_holders_.fetch_add(1, std::memory_order_relaxed);
-        return;
-      }
-      PhaseTimer wait_phase(telemetry::Phase::kLockWait,
-                            &detail::lock_wait_histogram());
-      WaitTracker tracker(drain_waiters_, drain_wait_micros_);
-      if (!governed(ctx)) {
-        drain_.lock();
-      } else {
-        while (!drain_try_slice(wait_slice(ctx))) ctx->check_now();
-      }
-      drain_exclusive_holders_.fetch_add(1, std::memory_order_relaxed);
+      lock_drain_exclusive(ctx);
     } catch (...) {
       writer_holders_.fetch_sub(1, std::memory_order_relaxed);
       writer_.unlock();
@@ -152,10 +142,31 @@ class LockManager {
     }
   }
   void unlock_exclusive() {
-    drain_exclusive_holders_.fetch_sub(1, std::memory_order_relaxed);
-    drain_.unlock();
+    unlock_drain_exclusive();
     writer_holders_.fetch_sub(1, std::memory_order_relaxed);
     writer_.unlock();
+  }
+
+  /// DDL inside this thread's transaction: trade the transaction's
+  /// drain-shared hold for the exclusive one, draining every reader. Only
+  /// readers can come between the two — every other drain user takes the
+  /// writer mutex first, and the transaction holds it. On a timeout or
+  /// cancel the shared hold is restored before the error propagates.
+  void drain_in_transaction(StatementContext* ctx) {
+    drain_shared_holders_.fetch_sub(1, std::memory_order_relaxed);
+    drain_.unlock_shared();
+    try {
+      lock_drain_exclusive(ctx);
+    } catch (...) {
+      drain_.lock_shared();
+      drain_shared_holders_.fetch_add(1, std::memory_order_relaxed);
+      throw;
+    }
+  }
+  void undrain_in_transaction() {
+    unlock_drain_exclusive();
+    drain_.lock_shared();  // cannot block: see drain_in_transaction
+    drain_shared_holders_.fetch_add(1, std::memory_order_relaxed);
   }
 
   /// BEGIN: take the writer lock and record the owning thread so the
@@ -292,6 +303,24 @@ class LockManager {
     std::chrono::steady_clock::time_point start_;
   };
 
+  void lock_drain_exclusive(StatementContext* ctx) {
+    if (!drain_.try_lock()) {  // uncontended: skip wait timing
+      PhaseTimer wait_phase(telemetry::Phase::kLockWait,
+                            &detail::lock_wait_histogram());
+      WaitTracker tracker(drain_waiters_, drain_wait_micros_);
+      if (!governed(ctx)) {
+        drain_.lock();
+      } else {
+        while (!drain_try_slice(wait_slice(ctx))) ctx->check_now();
+      }
+    }
+    drain_exclusive_holders_.fetch_add(1, std::memory_order_relaxed);
+  }
+  void unlock_drain_exclusive() {
+    drain_exclusive_holders_.fetch_sub(1, std::memory_order_relaxed);
+    drain_.unlock();
+  }
+
   void lock_writer_mutex(StatementContext* ctx) {
     if (writer_.try_lock()) {  // uncontended: skip wait timing
       writer_holders_.fetch_add(1, std::memory_order_relaxed);
@@ -324,16 +353,20 @@ class LockManager {
 
 /// RAII statement-scope guard. Maps the statement class to a lock level —
 /// SELECT: drain-shared, DML: writer,
-/// DDL: exclusive — and takes nothing at all when the calling thread
-/// already owns the database's transaction lock.
+/// DDL: exclusive — and takes nothing when the calling thread already
+/// owns the database's transaction lock, except that DDL then still
+/// drains the readers (it rewrites rows and schema they read in place).
 class StatementGuard {
  public:
-  enum class Level { kNone, kShared, kWriter, kExclusive };
+  enum class Level { kNone, kShared, kWriter, kExclusive, kTxnDrain };
 
   StatementGuard(LockManager& locks, StatementClass cls,
                  StatementContext* ctx = nullptr)
       : locks_(locks) {
-    if (locks_.owned_by_this_thread()) return;
+    if (locks_.owned_by_this_thread()) {
+      if (cls == StatementClass::kDdl) acquire(Level::kTxnDrain, ctx);
+      return;
+    }
     switch (cls) {
       case StatementClass::kRead:
         acquire(Level::kShared, ctx);
@@ -371,6 +404,7 @@ class StatementGuard {
       case Level::kShared: locks_.unlock_shared(); break;
       case Level::kWriter: locks_.unlock_writer(); break;
       case Level::kExclusive: locks_.unlock_exclusive(); break;
+      case Level::kTxnDrain: locks_.undrain_in_transaction(); break;
     }
   }
 
@@ -384,6 +418,7 @@ class StatementGuard {
       case Level::kShared: locks_.lock_shared(ctx); break;
       case Level::kWriter: locks_.lock_writer(ctx); break;
       case Level::kExclusive: locks_.lock_exclusive(ctx); break;
+      case Level::kTxnDrain: locks_.drain_in_transaction(ctx); break;
     }
     held_ = level;
   }

@@ -220,7 +220,7 @@ void parse_statement_frame(const std::string& payload, std::size_t& cursor,
 /// must consume the payload exactly; throws ParseError otherwise (the
 /// caller classifies it as corruption — CRC already passed).
 void parse_payload(const std::string& payload,
-                   std::vector<std::pair<std::string, Params>>& statements) {
+                   std::vector<LoggedStatement>& statements) {
   statements.clear();
   std::size_t cursor = 0;
   std::size_t count = 1;
@@ -318,20 +318,7 @@ std::string encode_statement_frame(std::string_view sql, const Params& params) {
   for (const auto& p : params) frame += encode_value(p);
   return frame;
 }
-
-std::string frame_record(std::uint64_t seq, const std::string& payload) {
-  char header[64];
-  std::snprintf(header, sizeof header, "R %llu %08x %zu\n",
-                static_cast<unsigned long long>(seq), util::crc32(payload),
-                payload.size());
-  return header + payload;
-}
 }  // namespace
-
-std::string Wal::encode_record(std::uint64_t seq, std::string_view sql,
-                               const Params& params) const {
-  return frame_record(seq, encode_statement_frame(sql, params) + "E\n");
-}
 
 void Wal::ensure_open() {
   if (fd_ < 0) {
@@ -420,12 +407,28 @@ void Wal::sync_now() {
       std::memory_order_relaxed);
 }
 
-std::uint64_t Wal::append(std::string_view sql, const Params& params,
-                          bool defer_sync) {
+std::uint64_t Wal::append(const std::vector<LoggedStatement>& statements,
+                          const char* site) {
+  if (statements.empty()) return written_seq();
   ensure_open();
+  // The whole list is ONE record under one CRC, so a crash partway
+  // through the write leaves a torn tail that replay discards wholly — a
+  // commit is either entirely in the log or entirely absent.
+  std::string payload;
+  if (statements.size() > 1) {
+    payload = "B " + std::to_string(statements.size()) + "\n";
+  }
+  for (const auto& [sql, params] : statements) {
+    payload += encode_statement_frame(sql, params);
+  }
+  payload += "E\n";
   const std::uint64_t seq = next_seq_;
-  const std::string record = encode_record(seq, sql, params);
-  write_all(record, "wal.append");
+  char header[64];
+  std::snprintf(header, sizeof header, "R %llu %08x %zu\n",
+                static_cast<unsigned long long>(seq), util::crc32(payload),
+                payload.size());
+  const std::string record = header + payload;
+  write_all(record, site);
   ++next_seq_;
   written_seq_.store(seq, std::memory_order_release);
   static auto& appends =
@@ -434,49 +437,7 @@ std::uint64_t Wal::append(std::string_view sql, const Params& params,
       telemetry::MetricsRegistry::instance().counter("sqldb.wal.bytes");
   appends.add();
   bytes.add(record.size());
-  if (!defer_sync && sync_ == SyncMode::kAlways) {
-    sync_now();
-    advance_durable(seq);
-  }
   return seq;
-}
-
-std::uint64_t Wal::append_batch(
-    const std::vector<std::pair<std::string, Params>>& records,
-    bool defer_sync) {
-  if (records.empty()) return written_seq_.load(std::memory_order_relaxed);
-  ensure_open();
-  // The whole transaction is ONE record under one CRC, so a crash partway
-  // through the commit write leaves a torn tail that replay discards
-  // wholly — a commit is either entirely in the log or entirely absent.
-  std::string payload = "B " + std::to_string(records.size()) + "\n";
-  for (const auto& [sql, params] : records) {
-    payload += encode_statement_frame(sql, params);
-  }
-  payload += "E\n";
-  const std::uint64_t seq = next_seq_;
-  const std::string record = frame_record(seq, payload);
-  write_all(record, "wal.commit");
-  ++next_seq_;
-  written_seq_.store(seq, std::memory_order_release);
-  static auto& appends =
-      telemetry::MetricsRegistry::instance().counter("sqldb.wal.batch_appends");
-  static auto& bytes =
-      telemetry::MetricsRegistry::instance().counter("sqldb.wal.bytes");
-  appends.add();
-  bytes.add(record.size());
-  if (!defer_sync && sync_ != SyncMode::kNone) {
-    sync_now();
-    advance_durable(seq);
-  }
-  return seq;
-}
-
-void Wal::advance_durable(std::uint64_t seq) {
-  std::lock_guard<std::mutex> lk(commit_mutex_);
-  if (durable_seq_.load(std::memory_order_relaxed) < seq) {
-    durable_seq_.store(seq, std::memory_order_release);
-  }
 }
 
 void Wal::wait_durable(std::uint64_t seq) {
@@ -601,7 +562,7 @@ Wal::ReplayInfo Wal::replay(
                        ", found " + std::to_string(header.seq));
       return info;
     }
-    std::vector<std::pair<std::string, Params>> statements;
+    std::vector<LoggedStatement> statements;
     try {
       parse_payload(payload, statements);
     } catch (const perfdmf::ParseError& e) {

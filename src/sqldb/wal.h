@@ -10,10 +10,11 @@
 // where <payload> holds length-prefixed statement frames
 // "S <sql-len>\n<sql>\nP <count>\n" + encoded params, terminated by "E\n",
 // so SQL text and string parameters may contain any bytes, including
-// newlines. An autocommitted statement is one frame; a transaction commit
-// is a batch record "B <count>\n" + frames + "E\n" — one record, one CRC,
-// one sequence number, so a torn commit write is discarded wholly and a
-// transaction is never half-replayed.
+// newlines. A record of one statement is that one frame; a record of
+// several (a transaction commit) is a batch "B <count>\n" + frames + "E\n"
+// — one record, one CRC, one sequence number, so a torn commit write is
+// discarded wholly and a transaction is never half-replayed. Replay reads
+// both shapes.
 //
 // Recovery distinguishes two failure shapes:
 //  - torn tail: the final record is incomplete (header has no newline, or
@@ -24,18 +25,21 @@
 //    offset plus how many structurally-whole records after it were
 //    discarded — committed data was damaged, and the caller must know.
 //
-// Writes go through a POSIX fd so short writes are detected byte-exactly
-// and fsync policy (SyncMode) is enforced. Failpoint sites: "wal.append"
-// (single-statement records), "wal.commit" (commit batches), "wal.sync",
-// "wal.group_sync" (the group-commit leader's fsync), "wal.reset".
+// Writes go through a POSIX fd so short writes are detected byte-exactly.
+// Failpoint sites: "wal.append" / "wal.commit" (the write of an
+// autocommitted statement or schema change / of a commit; the caller
+// names the site), "wal.sync", "wal.group_sync" (the group-commit
+// leader's fsync), "wal.reset".
 //
-// Group commit: appenders may defer the policy fsync (defer_sync = true)
-// and later call wait_durable(seq). The first waiter becomes the leader,
-// snapshots the written high-water mark, fsyncs ONCE outside the queue
-// lock, then publishes the durable mark and wakes every follower whose
-// sequence number it covered — N concurrent commits pay one fsync.
-// A failed leader fsync is rethrown to the leader and to every follower
-// queued behind that round; a later successful round supersedes it.
+// Durability: append() only writes. Every fsync goes through
+// wait_durable(seq), the group-commit queue: the first waiter becomes
+// the leader, snapshots the written high-water mark, fsyncs ONCE outside
+// the queue lock, then publishes the durable mark and wakes every
+// follower whose sequence number it covered — N concurrent commits pay
+// one fsync. Which records need it is the caller's policy (SyncMode, see
+// Database). A failed leader fsync is rethrown to the leader and to
+// every follower queued behind that round; a later successful round
+// supersedes it.
 #pragma once
 
 #include <atomic>
@@ -59,6 +63,9 @@ std::string encode_value(const Value& v);
 /// Decode from `text` starting at `pos`; advances pos past the record.
 Value decode_value(const std::string& text, std::size_t& pos);
 
+/// One statement and its bound parameters, as the WAL records it.
+using LoggedStatement = std::pair<std::string, Params>;
+
 class Wal {
  public:
   explicit Wal(std::filesystem::path path, SyncMode sync = SyncMode::kOnCommit);
@@ -66,21 +73,14 @@ class Wal {
   Wal(const Wal&) = delete;
   Wal& operator=(const Wal&) = delete;
 
-  /// Append one statement record; returns its sequence number. Synced
-  /// only under SyncMode::kAlways (an autocommitted single statement);
-  /// with defer_sync the caller takes over via wait_durable().
-  std::uint64_t append(std::string_view sql, const Params& params,
-                       bool defer_sync = false);
-
-  /// Append a whole transaction as ONE batch record with a single write —
-  /// the commit path, which makes batched bulk loads one write (and at
-  /// most one fsync) instead of one per row, and makes the commit atomic
-  /// on disk (see header comment). Returns the record's sequence number.
-  /// Synced under kAlways/kOnCommit unless defer_sync hands the fsync to
-  /// wait_durable().
-  std::uint64_t append_batch(
-      const std::vector<std::pair<std::string, Params>>& records,
-      bool defer_sync = false);
+  /// Append `statements` as ONE record with a single write and return its
+  /// sequence number (see header comment for the shapes); an empty list
+  /// writes nothing and returns written_seq(). `site` is the failpoint
+  /// evaluated before the write ("wal.append" or "wal.commit"). Nothing
+  /// is fsynced here: a caller that needs the record durable calls
+  /// wait_durable() with the returned number.
+  std::uint64_t append(const std::vector<LoggedStatement>& statements,
+                       const char* site);
 
   /// Block until record `seq` is fsynced, joining the group-commit queue
   /// (see header comment). No-op under SyncMode::kNone. Throws the
@@ -148,16 +148,12 @@ class Wal {
   const std::filesystem::path& path() const { return path_; }
 
  private:
-  std::string encode_record(std::uint64_t seq, std::string_view sql,
-                            const Params& params) const;
   void ensure_open();
   /// Scan existing records to find the last assigned sequence number
   /// (standalone Wal use; Database sets it explicitly after replay).
   void recover_next_seq();
   void write_all(const std::string& buffer, const char* site);
   void sync_now();
-  /// Monotonically raise the durable mark (inline-sync paths).
-  void advance_durable(std::uint64_t seq);
 
   std::filesystem::path path_;
   int fd_ = -1;
@@ -167,8 +163,8 @@ class Wal {
 
   // Group-commit state. written_seq_ advances after each successful
   // append (appends are serialized by the engine's writer mutex);
-  // durable_seq_ advances under commit_mutex_ when a leader's fsync or
-  // an inline sync lands.
+  // durable_seq_ advances under commit_mutex_ when a leader's fsync lands
+  // (or a checkpoint supersedes the log).
   std::atomic<std::uint64_t> written_seq_{0};
   std::atomic<std::uint64_t> durable_seq_{0};
   std::atomic<int> commit_waiters_{0};

@@ -3,11 +3,16 @@
 // selective queries, derived metrics, analysis results.
 #include <gtest/gtest.h>
 
+#include <cerrno>
+
 #include "api/database_api.h"
 #include "api/schema_bootstrap.h"
 #include "io/synth.h"
 #include "profile/derived.h"
+#include "sqldb/wal.h"
+#include "telemetry/metrics.h"
 #include "util/error.h"
+#include "util/failpoint.h"
 #include "util/file.h"
 
 using namespace perfdmf;
@@ -433,6 +438,175 @@ TEST(ApiUpload, ExtendSchemaStoresTrialMetadataFields) {
   auto stored = api.get_trial(extended);
   EXPECT_EQ(stored->fields.at("OS"), "Linux");
   EXPECT_EQ(stored->fields.at("Hostname"), "bgl0042");
+}
+
+}  // namespace
+
+namespace {
+
+namespace fp = util::failpoint;
+
+/// An archive holding one application and experiment.
+struct Archive {
+  explicit Archive(std::shared_ptr<sqldb::Connection> c)
+      : connection(std::move(c)), api(connection) {
+    profile::Application app;
+    app.name = "app";
+    api.save_application(app);
+    profile::Experiment experiment;
+    experiment.application_id = app.id;
+    experiment.name = "e";
+    api.save_experiment(experiment);
+    experiment_id = experiment.id;
+  }
+
+  std::uint64_t wal_records() {
+    return connection->database().wal()->written_seq();
+  }
+
+  std::shared_ptr<sqldb::Connection> connection;
+  DatabaseAPI api;
+  std::int64_t experiment_id = 0;
+};
+
+profile::TrialData small_trial() {
+  io::synth::TrialSpec spec;
+  spec.nodes = 2;
+  spec.event_count = 3;
+  spec.extra_metrics = {"PAPI_FP_OPS"};
+  spec.atomic_event_count = 1;
+  return io::synth::generate_trial(spec);
+}
+
+class ApiFailedCommit : public ::testing::Test {
+ protected:
+  void TearDown() override { fp::clear_all(); }
+  util::ScopedTempDir dir;
+};
+
+// Whichever of upload_trial's commits fails, the IoError reaches the
+// caller and no trial row is left behind, in memory or on disk.
+TEST_F(ApiFailedCommit, UploadTrialLeavesNoTrialWhicheverCommitFails) {
+  const auto data = small_trial();
+  std::uint64_t commits = 0;  // WAL records one upload writes
+  {
+    Archive probe(std::make_shared<sqldb::Connection>(dir.path() / "probe"));
+    const std::uint64_t before = probe.wal_records();
+    probe.api.upload_trial(data, probe.experiment_id);
+    commits = probe.wal_records() - before;
+  }
+  ASSERT_GE(commits, 1u);
+
+  const auto db_dir = dir.path() / "archive";
+  std::int64_t experiment_id = 0;
+  {
+    Archive archive(std::make_shared<sqldb::Connection>(db_dir));
+    experiment_id = archive.experiment_id;
+    for (std::uint64_t k = 1; k <= commits; ++k) {
+      SCOPED_TRACE(::testing::Message() << "commit " << k << " fails");
+      fp::enable("wal.commit", util::FailAction::kError, static_cast<int>(k),
+                 EIO);
+      EXPECT_THROW(archive.api.upload_trial(data, experiment_id), IoError);
+      fp::clear_all();
+      EXPECT_TRUE(archive.api.list_trials(experiment_id).empty());
+    }
+  }
+  Archive reopened(std::make_shared<sqldb::Connection>(db_dir));
+  EXPECT_TRUE(reopened.api.list_trials(experiment_id).empty());
+  // The archive stays usable.
+  const std::int64_t trial_id = reopened.api.upload_trial(data, experiment_id);
+  EXPECT_EQ(reopened.api.load_trial(trial_id).interval_point_count(),
+            data.interval_point_count());
+}
+
+TEST_F(ApiFailedCommit, DeleteTrialAndDerivedMetricSurfaceTheIoError) {
+  Archive archive(std::make_shared<sqldb::Connection>(dir.path() / "archive"));
+  auto data = small_trial();
+  const std::int64_t trial_id =
+      archive.api.upload_trial(data, archive.experiment_id);
+  profile::derive_ratio(data, "MFLOPS", "PAPI_FP_OPS", "TIME");
+
+  fp::enable("wal.commit", util::FailAction::kError, 1, EIO);
+  EXPECT_THROW(archive.api.save_derived_metric(trial_id, data, "MFLOPS"),
+               IoError);
+  EXPECT_EQ(archive.api.get_metrics(trial_id).size(), 2u);
+
+  fp::enable("wal.commit", util::FailAction::kError, 1, EIO);
+  EXPECT_THROW(archive.api.delete_trial(trial_id), IoError);
+  EXPECT_TRUE(archive.api.get_trial(trial_id).has_value());
+
+  // Nothing was left half-open: both succeed once the disk behaves.
+  EXPECT_GT(archive.api.save_derived_metric(trial_id, data, "MFLOPS"), 0);
+  archive.api.delete_trial(trial_id);
+  EXPECT_FALSE(archive.api.get_trial(trial_id).has_value());
+}
+
+// The aggregate is driven from one event's profile rows, so the rows it
+// examines do not grow with the archive.
+TEST(ApiAggregate, RowsExaminedDoNotGrowWithTheArchive) {
+  io::synth::TrialSpec spec;
+  spec.nodes = 8;
+  spec.event_count = 5;
+  const auto data = io::synth::generate_trial(spec);
+  auto widest_input = [&](int trials) {
+    Archive archive(std::make_shared<sqldb::Connection>());
+    std::int64_t trial_id = 0;
+    for (int t = 0; t < trials; ++t) {
+      trial_id = archive.api.upload_trial(data, archive.experiment_id);
+    }
+    const std::int64_t event_id =
+        archive.api.get_interval_events(trial_id)[1].id;
+    EXPECT_EQ(archive.api
+                  .aggregate_interval_column(trial_id, event_id, "exclusive")
+                  .count,
+              8u);
+    // The statement aggregate_interval_column runs.
+    auto plan = archive.connection->execute(
+        "EXPLAIN ANALYZE SELECT COUNT(p.exclusive), MIN(p.exclusive),"
+        " MAX(p.exclusive), AVG(p.exclusive), STDDEV(p.exclusive)"
+        " FROM interval_location_profile p JOIN interval_event e"
+        " ON e.id = p.interval_event"
+        " WHERE p.interval_event = ? AND e.trial = ?",
+        {sqldb::Value(event_id), sqldb::Value(trial_id)});
+    std::uint64_t widest = 0;
+    EXPECT_TRUE(plan.next());
+    EXPECT_EQ(plan.get_string(1), "from p: index-eq(interval_event)");
+    while (plan.next()) {
+      const std::string line = plan.get_string(1);
+      const auto at = line.find("rows_in=");
+      if (line.rfind("analyze ", 0) == 0 && at != std::string::npos) {
+        widest = std::max<std::uint64_t>(widest,
+                                         std::stoull(line.substr(at + 8)));
+      }
+    }
+    return widest;
+  };
+  const std::uint64_t one = widest_input(1);
+  EXPECT_GT(one, 0u);
+  EXPECT_EQ(widest_input(20), one);
+}
+
+// API transactions run the SQL COMMIT path, so each commit joins the
+// group-commit queue instead of fsyncing inline under the writer mutex.
+TEST(ApiTransactions, EachCommitJoinsGroupCommit) {
+  util::ScopedTempDir dir;
+  sqldb::Connection connection(dir.path() / "db");
+  connection.execute_update("CREATE TABLE t (id INTEGER PRIMARY KEY, x INTEGER)");
+  auto& commits = telemetry::MetricsRegistry::instance().counter(
+      "wal.group_commit.commits");
+  const std::uint64_t before = commits.value();
+  constexpr int kCommits = 5;
+  for (int i = 0; i < kCommits; ++i) {
+    connection.begin();
+    connection.execute_update("INSERT INTO t (x) VALUES (?)",
+                              {sqldb::Value(std::int64_t{i})});
+    connection.commit();
+  }
+  auto* wal = connection.database().wal();
+  EXPECT_EQ(wal->durable_seq(), wal->written_seq());
+  if (telemetry::compiled_in()) {
+    EXPECT_EQ(commits.value() - before, static_cast<std::uint64_t>(kCommits));
+  }
 }
 
 }  // namespace

@@ -236,8 +236,9 @@ TEST_P(WalTruncationProperty, TruncatedWalReplaysAnIntactPrefix) {
   sqldb::Wal wal(path);
   const int n = 20;
   for (int i = 0; i < n; ++i) {
-    wal.append("INSERT INTO t VALUES (?)",
-               {sqldb::Value(static_cast<std::int64_t>(i))});
+    wal.append({{"INSERT INTO t VALUES (?)",
+                 {sqldb::Value(static_cast<std::int64_t>(i))}}},
+               "wal.append");
   }
   const std::string full = util::read_file(path);
   // Truncate at a pseudo-random fraction determined by the parameter.

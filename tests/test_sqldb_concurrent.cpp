@@ -9,7 +9,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <future>
 #include <memory>
 #include <set>
 #include <string>
@@ -605,4 +607,118 @@ TEST(SqldbConcurrent, CheckpointDuringConcurrentReads) {
   auto rs = reopened.execute("SELECT COUNT(*) FROM t");
   rs.next();
   EXPECT_EQ(rs.get_int(1), 74);
+}
+
+// ALTER inside a transaction rewrites every row and the schema in place,
+// so it must drain in-flight readers even though the transaction already
+// holds the writer mutex. A governed wait that times out hands the
+// transaction its shared hold back, and the transaction carries on.
+TEST(SqldbConcurrent, AlterInsideATransactionDrainsInFlightReaders) {
+  auto database = std::make_shared<sqldb::Database>();
+  sqldb::Connection conn(database);
+  conn.execute_update("CREATE TABLE t (id INTEGER PRIMARY KEY, x INTEGER)");
+  conn.execute_update("INSERT INTO t (x) VALUES (1)");
+  sqldb::LockManager& locks = database->locks();
+
+  // A reader's drain-shared hold, released on request.
+  auto hold_reader = [&](std::future<void> release) {
+    std::promise<void> holding;
+    auto held = holding.get_future();
+    std::thread reader([&locks, &holding, release = std::move(release)] {
+      locks.lock_shared();
+      holding.set_value();
+      release.wait();
+      locks.unlock_shared();
+    });
+    held.wait();
+    return reader;
+  };
+
+  {
+    std::promise<void> release;
+    std::thread reader = hold_reader(release.get_future());
+    conn.begin();
+    conn.set_statement_timeout_ms(30);
+    try {
+      conn.execute_update("ALTER TABLE t ADD COLUMN note TEXT");
+      ADD_FAILURE() << "in-transaction ALTER ran past an in-flight reader";
+    } catch (const DbError& e) {
+      EXPECT_EQ(e.kind(), DbError::Kind::kTimeout);
+    }
+    conn.set_statement_timeout_ms(0);
+    conn.execute_update("INSERT INTO t (x) VALUES (2)");
+    conn.commit();
+    release.set_value();
+    reader.join();
+  }
+  EXPECT_EQ(locks.stats().drain_shared_holders, 0);
+  EXPECT_EQ(locks.stats().drain_exclusive_holders, 0);
+
+  std::promise<void> release;
+  std::thread reader = hold_reader(release.get_future());
+  conn.begin();
+  std::atomic<bool> released{false};
+  std::thread releaser([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    released.store(true);
+    release.set_value();
+  });
+  conn.execute_update("ALTER TABLE t ADD COLUMN tag TEXT");
+  EXPECT_TRUE(released.load()) << "ALTER did not wait for the reader";
+  conn.execute_update("INSERT INTO t (x, tag) VALUES (3, 'n')");
+  conn.commit();
+  releaser.join();
+  reader.join();
+  auto rs = conn.execute("SELECT COUNT(*) FROM t WHERE tag = 'n'");
+  rs.next();
+  EXPECT_EQ(rs.get_int(1), 1);
+}
+
+// Readers against a writer whose transactions ADD and DROP columns (the
+// flexible-schema path of DatabaseAPI::save_row_with_fields). Every row a
+// reader sees is as wide as its result's column list; under TSan this is
+// the race check for the in-place row and schema rewrite.
+TEST(SqldbConcurrent, ReadersAgainstInTransactionSchemaChanges) {
+  auto database = std::make_shared<sqldb::Database>();
+  sqldb::Connection writer(database);
+  writer.execute_update("CREATE TABLE t (id INTEGER PRIMARY KEY, x INTEGER)");
+  for (int i = 0; i < 32; ++i) {
+    writer.execute_update("INSERT INTO t (x) VALUES (?)",
+                          {sqldb::Value(std::int64_t{i})});
+  }
+
+  std::atomic<int> failures{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 2; ++r) {
+    readers.emplace_back([&] {
+      try {
+        sqldb::Connection conn(database);
+        for (int i = 0; i < 150; ++i) {
+          auto rs = conn.execute("SELECT * FROM t");
+          if (rs.row_count() < 32) ++failures;
+          while (rs.next()) {
+            rs.get(rs.column_count());  // throws if the row is narrower
+          }
+        }
+      } catch (...) {
+        ++failures;
+      }
+    });
+  }
+  for (int i = 0; i < 20; ++i) {
+    const std::string column = "c" + std::to_string(i);
+    writer.begin();
+    writer.execute_update("ALTER TABLE t ADD COLUMN " + column + " TEXT");
+    writer.execute_update("INSERT INTO t (x, " + column + ") VALUES (?, 'v')",
+                          {sqldb::Value(std::int64_t{100 + i})});
+    if (i % 2 == 1) {
+      writer.execute_update("ALTER TABLE t DROP COLUMN " + column);
+    }
+    writer.commit();
+  }
+  for (auto& t : readers) t.join();
+  EXPECT_EQ(failures.load(), 0);
+  auto rs = writer.execute("SELECT COUNT(*) FROM t");
+  rs.next();
+  EXPECT_EQ(rs.get_int(1), 52);
 }

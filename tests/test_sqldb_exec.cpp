@@ -6,7 +6,9 @@
 #include "sqldb/connection.h"
 #include "sqldb/parser.h"
 #include "sqldb/table.h"
+#include "sqldb/wal.h"
 #include "util/error.h"
+#include "util/file.h"
 
 using namespace perfdmf::sqldb;
 using perfdmf::DbError;
@@ -1011,3 +1013,46 @@ TEST(TableIndex, OneKeyBulkLoadStaysLinearAndKeepsTheEntryContract) {
 }
 
 }  // namespace
+
+// CREATE UNIQUE INDEX over a column that already repeats a non-NULL key
+// fails up front: no index is left behind (nor an existing non-unique one
+// promoted) and nothing reaches the WAL, so a reopen agrees.
+TEST(UniqueIndex, CreateOverDuplicateKeysFailsAndLeavesNoTrace) {
+  perfdmf::util::ScopedTempDir dir;
+  const auto db_dir = dir.path() / "db";
+  {
+    Connection conn(db_dir);
+    conn.execute_update("CREATE TABLE p (id INTEGER PRIMARY KEY)");
+    conn.execute_update(
+        "CREATE TABLE f (id INTEGER PRIMARY KEY, code INTEGER, parent INTEGER,"
+        " FOREIGN KEY (parent) REFERENCES p (id))");
+    conn.execute_update("INSERT INTO p (id) VALUES (1)");
+    conn.execute_update(
+        "INSERT INTO f (code, parent) VALUES (1, 1), (1, 1), (NULL, NULL),"
+        " (NULL, NULL), (2, NULL)");
+    const Table& f = conn.database().table("f");
+    const std::uint64_t records = conn.database().wal()->written_seq();
+
+    EXPECT_THROW(conn.execute_update("CREATE UNIQUE INDEX fc ON f (code)"),
+                 DbError);
+    EXPECT_FALSE(f.has_index(1));
+    // `parent` already has its FK index; it must not turn unique.
+    EXPECT_THROW(conn.execute_update("CREATE UNIQUE INDEX fp ON f (parent)"),
+                 DbError);
+    EXPECT_TRUE(f.has_index(2));
+    EXPECT_FALSE(f.has_unique_index(2));
+    EXPECT_EQ(conn.database().wal()->written_seq(), records);
+
+    // NULLs never collide: with the duplicate gone the index builds, and
+    // then enforces uniqueness.
+    conn.execute_update("DELETE FROM f WHERE id = 2");
+    conn.execute_update("CREATE UNIQUE INDEX fc ON f (code)");
+    EXPECT_TRUE(f.has_unique_index(1));
+    EXPECT_THROW(conn.execute_update("INSERT INTO f (code) VALUES (2)"),
+                 DbError);
+  }
+  Connection reopened(db_dir);
+  EXPECT_TRUE(reopened.recovery_report().clean());
+  EXPECT_TRUE(reopened.database().table("f").has_unique_index(1));
+  EXPECT_FALSE(reopened.database().table("f").has_unique_index(2));
+}

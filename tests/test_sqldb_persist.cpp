@@ -43,8 +43,10 @@ TEST(ValueEncoding, TruncatedInputThrows) {
 TEST(Wal, AppendAndReplay) {
   u::ScopedTempDir dir;
   Wal wal(dir.path() / "wal.log");
-  wal.append("INSERT INTO t VALUES (?)", {Value(std::int64_t{1})});
-  wal.append("INSERT INTO t VALUES (?, ?)", {Value("x"), Value()});
+  wal.append({{"INSERT INTO t VALUES (?)", {Value(std::int64_t{1})}}},
+             "wal.append");
+  wal.append({{"INSERT INTO t VALUES (?, ?)", {Value("x"), Value()}}},
+             "wal.append");
 
   std::vector<std::pair<std::string, Params>> seen;
   wal.replay([&](const std::string& sql, const Params& params) {
@@ -61,10 +63,11 @@ TEST(Wal, BatchIsOneRecordAndTornBatchIsDiscardedWholly) {
   const auto path = dir.path() / "wal.log";
   {
     Wal wal(path);
-    wal.append("CREATE TABLE t (x INTEGER)", {});
-    wal.append_batch({{"INSERT INTO t VALUES (?)", {Value(std::int64_t{1})}},
-                      {"INSERT INTO t VALUES (?)", {Value(std::int64_t{2})}},
-                      {"INSERT INTO t VALUES (?)", {Value(std::int64_t{3})}}});
+    wal.append({{"CREATE TABLE t (x INTEGER)", {}}}, "wal.append");
+    wal.append({{"INSERT INTO t VALUES (?)", {Value(std::int64_t{1})}},
+                {"INSERT INTO t VALUES (?)", {Value(std::int64_t{2})}},
+                {"INSERT INTO t VALUES (?)", {Value(std::int64_t{3})}}},
+               "wal.commit");
     EXPECT_EQ(wal.last_seq(), 2u);  // the whole commit is one record
   }
   {
@@ -93,8 +96,8 @@ TEST(Wal, TornTailIsDiscarded) {
   const auto path = dir.path() / "wal.log";
   {
     Wal wal(path);
-    wal.append("SELECT 1", {});
-    wal.append("SELECT 2", {});
+    wal.append({{"SELECT 1", {}}}, "wal.append");
+    wal.append({{"SELECT 2", {}}}, "wal.append");
   }
   // Simulate a crash mid-append: cut the last record in half.
   const std::string content = u::read_file(path);
@@ -114,7 +117,8 @@ TEST(Wal, MidLogCorruptionIsReportedWithOffsetAndDiscardCount) {
   {
     Wal wal(path);
     for (int i = 0; i < 5; ++i) {
-      wal.append("INSERT INTO t VALUES (?)", {Value(std::int64_t{i})});
+      wal.append({{"INSERT INTO t VALUES (?)", {Value(std::int64_t{i})}}},
+                 "wal.append");
     }
   }
   // Flip a payload byte inside the second record.
@@ -139,7 +143,7 @@ TEST(Wal, SequenceBreakIsCorruption) {
   const auto path = dir.path() / "wal.log";
   {
     Wal wal(path);
-    for (int i = 0; i < 3; ++i) wal.append("SELECT 1", {});
+    for (int i = 0; i < 3; ++i) wal.append({{"SELECT 1", {}}}, "wal.append");
   }
   // Delete the middle record wholesale: every byte left is a valid
   // record, but the sequence numbers no longer chain.
@@ -159,11 +163,11 @@ TEST(Wal, SequenceBreakIsCorruption) {
 TEST(Wal, SequenceNumbersContinueAcrossReset) {
   u::ScopedTempDir dir;
   Wal wal(dir.path() / "wal.log");
-  wal.append("SELECT 1", {});
-  wal.append("SELECT 2", {});
+  wal.append({{"SELECT 1", {}}}, "wal.append");
+  wal.append({{"SELECT 2", {}}}, "wal.append");
   EXPECT_EQ(wal.last_seq(), 2u);
   wal.reset();
-  wal.append("SELECT 3", {});
+  wal.append({{"SELECT 3", {}}}, "wal.append");
   EXPECT_EQ(wal.last_seq(), 3u);
   auto info = wal.replay([](const std::string&, const Params&) {});
   EXPECT_EQ(info.last_seq, 3u);
@@ -172,7 +176,7 @@ TEST(Wal, SequenceNumbersContinueAcrossReset) {
 TEST(Wal, ReplaySkipsRecordsAtOrBelowMinSeq) {
   u::ScopedTempDir dir;
   Wal wal(dir.path() / "wal.log");
-  for (int i = 0; i < 4; ++i) wal.append("SELECT 1", {});
+  for (int i = 0; i < 4; ++i) wal.append({{"SELECT 1", {}}}, "wal.append");
   std::size_t replayed = 0;
   auto info =
       wal.replay([&](const std::string&, const Params&) { ++replayed; }, 2);
@@ -184,11 +188,72 @@ TEST(Wal, ReplaySkipsRecordsAtOrBelowMinSeq) {
 TEST(Wal, ResetTruncates) {
   u::ScopedTempDir dir;
   Wal wal(dir.path() / "wal.log");
-  wal.append("SELECT 1", {});
+  wal.append({{"SELECT 1", {}}}, "wal.append");
   wal.reset();
   std::size_t replayed = 0;
   wal.replay([&](const std::string&, const Params&) { ++replayed; });
   EXPECT_EQ(replayed, 0u);
+}
+
+// Bytes written by the two append functions this log had before they
+// were folded into one (autocommit statements as single frames, a commit
+// as a batch): every such log must still open unchanged.
+TEST(Wal, EarlierSingleAndBatchRecordsReplayUnchanged) {
+  static const char kLog[] =
+      "R 1 c8e4ab54 70\n"
+      "S 58\n"
+      "CREATE TABLE t (id INTEGER PRIMARY KEY, x INTEGER, s TEXT)\n"
+      "P 0\n"
+      "E\n"
+      "R 2 6c158d45 58\n"
+      "S 34\n"
+      "INSERT INTO t (x, s) VALUES (?, ?)\n"
+      "P 2\n"
+      "I 1\n"
+      "T 3 a\n"
+      "b\n"
+      "E\n"
+      "R 3 b4957a1f 108\n"
+      "B 2\n"
+      "S 34\n"
+      "INSERT INTO t (x, s) VALUES (?, ?)\n"
+      "P 2\n"
+      "I 2\n"
+      "N\n"
+      "S 30\n"
+      "UPDATE t SET s = ? WHERE x = ?\n"
+      "P 2\n"
+      "T 3 two\n"
+      "I 2\n"
+      "E\n";
+  u::ScopedTempDir dir;
+  const auto db_dir = dir.path() / "db";
+  std::filesystem::create_directories(db_dir);
+  u::write_file(db_dir / "wal.log", kLog);
+  {
+    Wal wal(db_dir / "wal.log");
+    std::size_t applied = 0;
+    const auto info =
+        wal.replay([&](const std::string&, const Params&) { ++applied; });
+    EXPECT_FALSE(info.corrupt);
+    EXPECT_FALSE(info.tail_torn);
+    EXPECT_EQ(info.last_seq, 3u);
+    EXPECT_EQ(applied, 4u);
+  }
+  Connection conn(db_dir);
+  EXPECT_TRUE(conn.recovery_report().clean());
+  EXPECT_EQ(conn.recovery_report().replayed_records, 4u);
+  auto rs = conn.execute("SELECT x, s FROM t ORDER BY x");
+  ASSERT_TRUE(rs.next());
+  EXPECT_EQ(rs.get_int(1), 1);
+  EXPECT_EQ(rs.get_string(2), "a\nb");
+  ASSERT_TRUE(rs.next());
+  EXPECT_EQ(rs.get_int(1), 2);
+  EXPECT_EQ(rs.get_string(2), "two");
+  EXPECT_FALSE(rs.next());
+  // Numbering continues above the replayed records.
+  conn.execute_update("INSERT INTO t (x) VALUES (3)");
+  EXPECT_EQ(conn.database().wal()->written_seq(), 4u);
 }
 
 TEST(Persistence, DataSurvivesReopen) {
@@ -490,8 +555,8 @@ TEST(Wal, AdversarialSqlAndParamsRoundTripThroughLog) {
                          Value(0.12345678901234567)};
   {
     Wal wal(path);
-    wal.append(sql, params);
-    wal.append("SELECT 1", {});
+    wal.append({{sql, params}}, "wal.append");
+    wal.append({{"SELECT 1", {}}}, "wal.append");
   }
   Wal wal(path);
   std::vector<std::pair<std::string, Params>> seen;
@@ -518,8 +583,9 @@ TEST(Wal, RandomDamageNeverCrashesReplayAndAppliesAPrefix) {
     Wal wal(path);
     for (int i = 0; i < 10; ++i) {
       std::string sql = "INSERT INTO t VALUES (" + std::to_string(i) + ")";
-      wal.append(sql, {Value(std::string("p\n") + std::to_string(i)),
-                       Value(static_cast<std::int64_t>(i))});
+      wal.append({{sql, {Value(std::string("p\n") + std::to_string(i)),
+                         Value(static_cast<std::int64_t>(i))}}},
+                 "wal.append");
       original.push_back(std::move(sql));
     }
   }
@@ -578,9 +644,10 @@ TEST(Persistence, ReplayFailuresAreCountedInRecoveryReport) {
     // Hand-build a WAL whose middle statement cannot execute: the table
     // it touches never existed. No snapshot, so replay starts from zero.
     Wal wal(db_dir / "wal.log");
-    wal.append("CREATE TABLE t (id INTEGER PRIMARY KEY, x INTEGER)", {});
-    wal.append("INSERT INTO missing (x) VALUES (1)", {});
-    wal.append("INSERT INTO t (x) VALUES (7)", {});
+    wal.append({{"CREATE TABLE t (id INTEGER PRIMARY KEY, x INTEGER)", {}}},
+               "wal.append");
+    wal.append({{"INSERT INTO missing (x) VALUES (1)", {}}}, "wal.append");
+    wal.append({{"INSERT INTO t (x) VALUES (7)", {}}}, "wal.append");
   }
   Connection conn(db_dir);
   const auto& report = conn.recovery_report();
