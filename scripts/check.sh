@@ -9,7 +9,9 @@
 # shared/containerised CPU measures ~35% even best-of-3, so the gate
 # catches halvings, not jitter. Tighten via PERFGUARD_THRESHOLD on
 # quiet dedicated hardware). Before perfguard, the pipeline benchmark is
-# smoke-run: every workload at tiny scale, outputs verified.
+# smoke-run: every workload at tiny scale, outputs verified. First of
+# all, the PERFDMF_* variables src/ reads are matched against README's
+# "Runtime configuration" table.
 #
 # Usage:
 #   scripts/check.sh            # all four configurations + perfguard
@@ -17,6 +19,8 @@
 #                               # (-L concurrency), executor-parity
 #                               # (-L parity), and telemetry
 #                               # (-L observability) suites
+#   scripts/check.sh knobs      # only the runtime-configuration
+#                               # inventory (README table vs src/)
 #   scripts/check.sh perfguard  # only the perfguard stage
 #   scripts/check.sh perfguard --record-baseline
 #                               # re-record bench/baselines/ from a
@@ -78,8 +82,37 @@ run_perfguard() {
   fi
 }
 
+# Knob inventory: every PERFDMF_* environment variable src/ reads
+# (through getenv or an env_* helper) has a row in README's "Runtime
+# configuration" table, and every row names a variable src/ reads.
+check_knobs() {
+  echo "=== runtime configuration inventory ==="
+  local read documented missing stale
+  read="$(grep -rhoE '(getenv|env_[a-z_]+)\("PERFDMF_[A-Z0-9_]+"' src |
+          grep -oE 'PERFDMF_[A-Z0-9_]+' | sort -u)"
+  documented="$(sed -n '/^## Runtime configuration/,/^## /p' README.md |
+                grep -oE '^\| `PERFDMF_[A-Z0-9_]+`' |
+                grep -oE 'PERFDMF_[A-Z0-9_]+' | sort -u)"
+  missing="$(comm -23 <(echo "$read") <(echo "$documented"))"
+  stale="$(comm -13 <(echo "$read") <(echo "$documented"))"
+  if [ -n "$missing" ]; then
+    echo "read in src/ but missing from README's Runtime configuration:" >&2
+    echo "$missing" >&2
+  fi
+  if [ -n "$stale" ]; then
+    echo "in README's Runtime configuration but read nowhere in src/:" >&2
+    echo "$stale" >&2
+  fi
+  [ -z "$missing" ] && [ -z "$stale" ]
+}
+
 if [ "$MODE" = "perfguard" ]; then
   run_perfguard "${2:-}"
+  exit 0
+fi
+
+check_knobs
+if [ "$MODE" = "knobs" ]; then
   exit 0
 fi
 

@@ -10,9 +10,9 @@
 //
 // Filter semantics: selecting an Application scopes experiment queries,
 // selecting an Experiment scopes trial queries, selecting a Trial scopes
-// event/metric/data queries, and node/context/thread/metric selections
-// scope data-point queries. Clearing a selection (kNoId / nullopt) widens
-// the scope again.
+// event/metric/data queries, and node/context/thread/metric/group
+// selections scope data-point queries (atomic rows have no metric).
+// Clearing a selection (kNoId / nullopt) widens the scope again.
 #pragma once
 
 #include <optional>

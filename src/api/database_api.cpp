@@ -1,7 +1,8 @@
 #include "api/database_api.h"
 
 #include <algorithm>
-#include <cmath>
+#include <concepts>
+#include <type_traits>
 
 #include "api/schema_bootstrap.h"
 #include "telemetry/metrics.h"
@@ -14,58 +15,248 @@ namespace perfdmf::api {
 using sqldb::Params;
 using sqldb::ResultSet;
 using sqldb::Value;
+using DataFilter = DatabaseAPI::DataFilter;
 
 namespace {
 
-const std::vector<std::string> kApplicationCore = {"id", "name"};
-const std::vector<std::string> kExperimentCore = {"id", "application", "name"};
-const std::vector<std::string> kTrialCore = {"id",         "experiment",
-                                             "name",       "node_count",
-                                             "contexts_per_node",
-                                             "threads_per_context"};
-
-bool is_core(const std::string& column, const std::vector<std::string>& core) {
-  for (const auto& c : core) {
-    if (util::iequals(c, column)) return true;
+/// "INSERT INTO table (c1, c2, ...) VALUES (?, ?, ...)".
+std::string insert_sql(const std::string& table,
+                       const std::vector<std::string>& columns) {
+  std::string names;
+  std::string placeholders;
+  for (const auto& column : columns) {
+    if (!names.empty()) {
+      names += ", ";
+      placeholders += ", ";
+    }
+    names += column;
+    placeholders += "?";
   }
-  return false;
+  return "INSERT INTO " + table + " (" + names + ") VALUES (" + placeholders +
+         ")";
 }
 
-}  // namespace
-
-DatabaseAPI::DatabaseAPI(std::shared_ptr<sqldb::Connection> connection)
-    : connection_(std::move(connection)) {
-  if (!schema_present(*connection_)) bootstrap_schema(*connection_);
+/// INSERT into a profile table: the integer `keys`, then the value columns.
+template <typename Point>
+std::string insert_sql(const std::string& table, std::vector<std::string> keys,
+                       std::span<const ValueColumn<Point>> columns) {
+  for (const auto& column : columns) keys.emplace_back(column.name);
+  return insert_sql(table, keys);
 }
 
-// ---------------------------------------------------------- flexible rows
+std::string interval_location_insert() {
+  return insert_sql("interval_location_profile",
+                    {"interval_event", "node", "context", "thread", "metric"},
+                    kIntervalValueColumns);
+}
 
-profile::Metadata DatabaseAPI::read_fields(
-    const std::string& table, ResultSet& rs,
-    const std::vector<std::string>& core_columns) {
+/// Bind the integer `keys`, then `point`'s value columns, and run the
+/// INSERT: one statement per profile row.
+template <typename Point>
+void insert_point(sqldb::PreparedStatement& stmt,
+                  std::initializer_list<std::int64_t> keys, const Point& point,
+                  std::span<const ValueColumn<Point>> columns) {
+  std::size_t index = 1;
+  for (std::int64_t key : keys) stmt.set_int(index++, key);
+  for (const auto& column : columns) {
+    stmt.set_double(index++, point.*column.member);
+  }
+  stmt.execute_update();
+}
+
+/// INSERT one row and return the id it was assigned. Callers hold a
+/// transaction, so no other connection's insert can land between the
+/// INSERT and the MAX(id) that reads it back.
+std::int64_t insert_returning_id(sqldb::Connection& connection,
+                                 const std::string& table,
+                                 const std::vector<std::string>& columns,
+                                 const Params& values) {
+  connection.execute_update(insert_sql(table, columns), values);
+  auto rs = connection.execute("SELECT MAX(id) FROM " + table);
+  rs.next();
+  return rs.get_int(1);
+}
+
+/// Every non-null column of the current row outside `core` becomes a
+/// field (flexible schema, paper §3.2).
+profile::Metadata read_fields(const ResultSet& rs,
+                              std::initializer_list<const char*> core) {
   profile::Metadata fields;
   for (const auto& column : rs.column_names()) {
-    if (is_core(column, core_columns)) continue;
-    if (!rs.is_null(column)) fields[column] = rs.get_string(column);
+    const bool is_core = std::any_of(core.begin(), core.end(), [&](const char* c) {
+      return util::iequals(c, column);
+    });
+    if (!is_core && !rs.is_null(column)) fields[column] = rs.get_string(column);
   }
-  (void)table;
   return fields;
 }
 
-void DatabaseAPI::save_row_with_fields(
-    const std::string& table,
-    const std::vector<std::pair<std::string, Value>>& core_values,
-    std::int64_t& id, const profile::Metadata& fields, bool extend_schema) {
+// One reader per row type: select_rows reads every row of a query
+// with it, so each entity's list_* and get_* read it the same way.
+void read_row(const ResultSet& rs, std::int64_t& id) { id = rs.get_int(1); }
+
+void read_row(const ResultSet& rs, profile::Metric& metric) {
+  metric = {rs.get_int(1), rs.get_string(2), rs.get_int(3) != 0};
+}
+
+template <typename Event>  // IntervalEvent or AtomicEvent: one shape
+  requires std::same_as<decltype(Event::group), std::string>
+void read_row(const ResultSet& rs, Event& event) {
+  event = {rs.get_int(1), rs.get_string(2), rs.get_string(3)};
+}
+
+void read_row(const ResultSet& rs, DatabaseAPI::AnalysisResult& result) {
+  result = {rs.get_int(1), rs.get_string(2), rs.get_string(3), rs.get_string(4)};
+}
+
+void read_row(const ResultSet& rs, profile::Application& app) {
+  app.id = rs.get_int("id");
+  app.name = rs.get_string("name");
+  app.fields = read_fields(rs, {"id", "name"});
+}
+
+void read_row(const ResultSet& rs, profile::Experiment& experiment) {
+  experiment.id = rs.get_int("id");
+  experiment.application_id = rs.get_int("application");
+  experiment.name = rs.get_string("name");
+  experiment.fields = read_fields(rs, {"id", "application", "name"});
+}
+
+void read_row(const ResultSet& rs, profile::Trial& trial) {
+  auto count = [&](const char* column) {
+    return rs.is_null(column) ? 0 : rs.get_int(column);
+  };
+  trial.id = rs.get_int("id");
+  trial.experiment_id = rs.get_int("experiment");
+  trial.name = rs.get_string("name");
+  trial.node_count = count("node_count");
+  trial.contexts_per_node = count("contexts_per_node");
+  trial.threads_per_context = count("threads_per_context");
+  trial.fields = read_fields(rs, {"id", "experiment", "name", "node_count",
+                                  "contexts_per_node", "threads_per_context"});
+}
+
+/// Run `sql` and read every row with read_row. Prepared per call rather
+/// than held in the connection's plan cache: with these short reads
+/// cached, the miranda pipeline benchmark's peak RSS sat ~2 MB (7%)
+/// higher in almost every run (4-vCPU VM).
+template <typename Row>
+std::vector<Row> select_rows(sqldb::Connection& connection,
+                             const std::string& sql, const Params& params = {}) {
+  auto stmt = connection.prepare(sql);
+  for (std::size_t i = 0; i < params.size(); ++i) stmt.set_value(i + 1, params[i]);
+  auto rs = stmt.execute_query();
+  std::vector<Row> out;
+  while (rs.next()) read_row(rs, out.emplace_back());
+  return out;
+}
+
+/// `columns` of `table`'s rows under one trial, ascending by id.
+template <typename Row>
+std::vector<Row> select_under_trial(sqldb::Connection& connection,
+                                    const std::string& table,
+                                    const std::string& columns,
+                                    std::int64_t trial_id) {
+  return select_rows<Row>(connection,
+                          "SELECT " + columns + " FROM " + table +
+                              " WHERE trial = ? ORDER BY id",
+                          {Value(trial_id)});
+}
+
+/// The first row of `table` whose `column` equals `key`.
+template <typename Entity>
+std::optional<Entity> select_first(sqldb::Connection& connection,
+                                   const std::string& table,
+                                   const std::string& column, Value key) {
+  auto rows = select_rows<Entity>(
+      connection, "SELECT * FROM " + table + " WHERE " + column + " = ?",
+      {std::move(key)});
+  if (rows.empty()) return std::nullopt;
+  return std::move(rows.front());
+}
+
+template <typename Event>
+std::vector<Event> select_events(sqldb::Connection& connection,
+                                 const std::string& table,
+                                 std::int64_t trial_id) {
+  return select_under_trial<Event>(connection, table, "id, name, group_name",
+                                   trial_id);
+}
+
+/// Narrow a query over event alias `e` and profile alias `p` by every
+/// member `filter` sets. Atomic profiles have no metric column.
+void append_filter(const DataFilter& filter, bool has_metric, std::string& sql,
+                   Params& params) {
+  auto add = [&](const char* clause, Value v) {
+    sql += clause;
+    params.push_back(std::move(v));
+  };
+  if (filter.event_id) add(" AND e.id = ?", Value(*filter.event_id));
+  if (filter.event_group) add(" AND e.group_name = ?", Value(*filter.event_group));
+  if (has_metric && filter.metric_id) {
+    add(" AND p.metric = ?", Value(*filter.metric_id));
+  }
+  if (filter.node) add(" AND p.node = ?", Value(std::int64_t{*filter.node}));
+  if (filter.context) {
+    add(" AND p.context = ?", Value(std::int64_t{*filter.context}));
+  }
+  if (filter.thread) add(" AND p.thread = ?", Value(std::int64_t{*filter.thread}));
+}
+
+/// One trial's location-profile rows joined to their events, narrowed by
+/// `filter`. `events` names both the event table and the profile table's
+/// key column. Interval rows carry their metric; atomic rows have none.
+template <typename Row, typename Point>
+std::vector<Row> select_location_rows(sqldb::Connection& connection,
+                                      const std::string& events,
+                                      const std::string& profile_table,
+                                      std::span<const ValueColumn<Point>> columns,
+                                      std::int64_t trial_id,
+                                      const DataFilter& filter) {
+  constexpr bool kHasMetric = std::is_same_v<Row, IntervalProfileRow>;
+  std::string sql = "SELECT e.id, e.name, p.node, p.context, p.thread, " +
+                    std::string(kHasMetric ? "p.metric, " : "") +
+                    join_columns(columns, "p.") + " FROM " + events +
+                    " e JOIN " + profile_table + " p ON p." + events +
+                    " = e.id WHERE e.trial = ?";
+  Params params{Value(trial_id)};
+  append_filter(filter, kHasMetric, sql, params);
+  auto rs = connection.execute(sql, params);
+  std::vector<Row> out;
+  out.reserve(rs.row_count());
+  while (rs.next()) {
+    Row& row = out.emplace_back();
+    row.event_id = rs.get_int(1);
+    row.event_name = rs.get_string(2);
+    row.thread.node = static_cast<std::int32_t>(rs.get_int(3));
+    row.thread.context = static_cast<std::int32_t>(rs.get_int(4));
+    row.thread.thread = static_cast<std::int32_t>(rs.get_int(5));
+    std::size_t index = 6;
+    if constexpr (kHasMetric) row.metric_id = rs.get_int(index++);
+    for (const auto& column : columns) {
+      row.data.*column.member = rs.get_double(index++);
+    }
+  }
+  return out;
+}
+
+/// Insert (id == kNoId, assigning id) or update one flexible-schema row:
+/// the core values plus every field whose column exists, after ALTERing
+/// missing ones in when `extend_schema` is set.
+void save_row(sqldb::Connection& connection, const std::string& table,
+              const std::vector<std::pair<std::string, Value>>& core_values,
+              std::int64_t& id, const profile::Metadata& fields,
+              bool extend_schema) {
   // The reflect → extend → write sequence below is a check-then-act:
   // without a transaction, two connections saving rows with the same new
   // metadata column can both see it missing and both ALTER, and the
   // MAX(id) fetch after the INSERT can read a row another connection just
   // assigned. The transaction holds the exclusive lock across the whole
   // sequence, making it atomic against sibling connections.
-  sqldb::ScopedTransaction txn(*connection_);
+  sqldb::ScopedTransaction txn(connection);
 
   // Discover the live column set (flexible schema, paper §3.2).
-  auto meta = connection_->get_meta_data();
+  auto meta = connection.get_meta_data();
   auto columns = meta.get_columns(table);
   auto has_column = [&](const std::string& name) {
     for (const auto& c : columns) {
@@ -78,56 +269,37 @@ void DatabaseAPI::save_row_with_fields(
     bool altered = false;
     for (const auto& [name, value] : fields) {
       if (!has_column(name)) {
-        connection_->execute_update("ALTER TABLE " + table + " ADD COLUMN \"" +
-                                    name + "\" TEXT");
+        connection.execute_update("ALTER TABLE " + table + " ADD COLUMN \"" +
+                                  name + "\" TEXT");
         altered = true;
       }
     }
     if (altered) columns = meta.get_columns(table);
   }
 
-  // Collect the (column, value) pairs we can store.
-  std::vector<std::pair<std::string, Value>> writes = core_values;
+  // Collect the (quoted column, value) pairs we can store.
+  std::vector<std::string> names;
+  Params values;
+  for (const auto& [name, value] : core_values) {
+    names.push_back("\"" + name + "\"");
+    values.push_back(value);
+  }
   for (const auto& [name, value] : fields) {
-    if (is_core(name, {"id"})) continue;
-    if (has_column(name)) writes.emplace_back(name, Value(value));
+    if (!util::iequals(name, "id") && has_column(name)) {
+      names.push_back("\"" + name + "\"");
+      values.push_back(Value(value));
+    }
   }
 
   if (id == profile::kNoId) {
-    std::string sql = "INSERT INTO " + table + " (";
-    std::string placeholders;
-    for (std::size_t i = 0; i < writes.size(); ++i) {
-      if (i) {
-        sql += ", ";
-        placeholders += ", ";
-      }
-      sql += "\"" + writes[i].first + "\"";
-      placeholders += "?";
-    }
-    sql += ") VALUES (" + placeholders + ")";
-    auto stmt = connection_->prepare(sql);
-    for (std::size_t i = 0; i < writes.size(); ++i) {
-      stmt.set_value(i + 1, writes[i].second);
-    }
-    stmt.execute_update();
-    // Fetch the id just assigned (safe: the surrounding transaction holds
-    // the exclusive lock across the INSERT and this read).
-    auto rs = connection_->execute("SELECT MAX(id) FROM " + table);
-    rs.next();
-    id = rs.get_int(1);
+    id = insert_returning_id(connection, table, names, values);
   } else {
     std::string sql = "UPDATE " + table + " SET ";
-    for (std::size_t i = 0; i < writes.size(); ++i) {
-      if (i) sql += ", ";
-      sql += "\"" + writes[i].first + "\" = ?";
+    for (std::size_t i = 0; i < names.size(); ++i) {
+      sql += (i ? ", " : "") + names[i] + " = ?";
     }
-    sql += " WHERE id = ?";
-    auto stmt = connection_->prepare(sql);
-    for (std::size_t i = 0; i < writes.size(); ++i) {
-      stmt.set_value(i + 1, writes[i].second);
-    }
-    stmt.set_int(writes.size() + 1, id);
-    if (stmt.execute_update() == 0) {
+    values.push_back(Value(id));
+    if (connection.execute_update(sql + " WHERE id = ?", values) == 0) {
       throw DbError("no row with id " + std::to_string(id) + " in " + table);
     }
   }
@@ -135,78 +307,48 @@ void DatabaseAPI::save_row_with_fields(
   txn.commit();
 }
 
+}  // namespace
+
+DatabaseAPI::DatabaseAPI(std::shared_ptr<sqldb::Connection> connection)
+    : connection_(std::move(connection)) {
+  if (!schema_present(*connection_)) bootstrap_schema(*connection_);
+}
+
 // ------------------------------------------------------------ application
 
 std::vector<profile::Application> DatabaseAPI::list_applications() {
-  auto rs = connection_->execute("SELECT * FROM application ORDER BY id");
-  std::vector<profile::Application> out;
-  while (rs.next()) {
-    profile::Application app;
-    app.id = rs.get_int("id");
-    app.name = rs.get_string("name");
-    app.fields = read_fields("application", rs, kApplicationCore);
-    out.push_back(std::move(app));
-  }
-  return out;
+  return select_rows<profile::Application>(
+      *connection_, "SELECT * FROM application ORDER BY id");
 }
 
 std::optional<profile::Application> DatabaseAPI::get_application(std::int64_t id) {
-  auto stmt = connection_->prepare("SELECT * FROM application WHERE id = ?");
-  stmt.set_int(1, id);
-  auto rs = stmt.execute_query();
-  if (!rs.next()) return std::nullopt;
-  profile::Application app;
-  app.id = rs.get_int("id");
-  app.name = rs.get_string("name");
-  app.fields = read_fields("application", rs, kApplicationCore);
-  return app;
+  return select_first<profile::Application>(*connection_, "application", "id",
+                                            Value(id));
 }
 
 std::optional<profile::Application> DatabaseAPI::find_application(
     const std::string& name) {
-  auto stmt = connection_->prepare("SELECT id FROM application WHERE name = ?");
-  stmt.set_string(1, name);
-  auto rs = stmt.execute_query();
-  if (!rs.next()) return std::nullopt;
-  return get_application(rs.get_int(1));
+  return select_first<profile::Application>(*connection_, "application", "name",
+                                            Value(name));
 }
 
 void DatabaseAPI::save_application(profile::Application& app, bool extend_schema) {
-  save_row_with_fields("application", {{"name", Value(app.name)}}, app.id,
-                       app.fields, extend_schema);
+  save_row(*connection_, "application", {{"name", Value(app.name)}}, app.id,
+           app.fields, extend_schema);
 }
 
 // ------------------------------------------------------------- experiment
 
 std::vector<profile::Experiment> DatabaseAPI::list_experiments(
     std::int64_t application_id) {
-  auto stmt = connection_->prepare(
-      "SELECT * FROM experiment WHERE application = ? ORDER BY id");
-  stmt.set_int(1, application_id);
-  auto rs = stmt.execute_query();
-  std::vector<profile::Experiment> out;
-  while (rs.next()) {
-    profile::Experiment experiment;
-    experiment.id = rs.get_int("id");
-    experiment.application_id = rs.get_int("application");
-    experiment.name = rs.get_string("name");
-    experiment.fields = read_fields("experiment", rs, kExperimentCore);
-    out.push_back(std::move(experiment));
-  }
-  return out;
+  return select_rows<profile::Experiment>(
+      *connection_, "SELECT * FROM experiment WHERE application = ? ORDER BY id",
+      {Value(application_id)});
 }
 
 std::optional<profile::Experiment> DatabaseAPI::get_experiment(std::int64_t id) {
-  auto stmt = connection_->prepare("SELECT * FROM experiment WHERE id = ?");
-  stmt.set_int(1, id);
-  auto rs = stmt.execute_query();
-  if (!rs.next()) return std::nullopt;
-  profile::Experiment experiment;
-  experiment.id = rs.get_int("id");
-  experiment.application_id = rs.get_int("application");
-  experiment.name = rs.get_string("name");
-  experiment.fields = read_fields("experiment", rs, kExperimentCore);
-  return experiment;
+  return select_first<profile::Experiment>(*connection_, "experiment", "id",
+                                           Value(id));
 }
 
 void DatabaseAPI::save_experiment(profile::Experiment& experiment,
@@ -214,64 +356,30 @@ void DatabaseAPI::save_experiment(profile::Experiment& experiment,
   if (experiment.application_id == profile::kNoId) {
     throw InvalidArgument("experiment.application_id must be set before save");
   }
-  save_row_with_fields("experiment",
-                       {{"application", Value(experiment.application_id)},
-                        {"name", Value(experiment.name)}},
-                       experiment.id, experiment.fields, extend_schema);
+  save_row(*connection_, "experiment",
+           {{"application", Value(experiment.application_id)},
+            {"name", Value(experiment.name)}},
+           experiment.id, experiment.fields, extend_schema);
 }
 
 // ------------------------------------------------------------------ trial
 
 std::vector<profile::Trial> DatabaseAPI::list_trials(std::int64_t experiment_id) {
-  auto stmt =
-      connection_->prepare("SELECT * FROM trial WHERE experiment = ? ORDER BY id");
-  stmt.set_int(1, experiment_id);
-  auto rs = stmt.execute_query();
-  std::vector<profile::Trial> out;
-  while (rs.next()) {
-    profile::Trial trial;
-    trial.id = rs.get_int("id");
-    trial.experiment_id = rs.get_int("experiment");
-    trial.name = rs.get_string("name");
-    if (!rs.is_null("node_count")) trial.node_count = rs.get_int("node_count");
-    if (!rs.is_null("contexts_per_node")) {
-      trial.contexts_per_node = rs.get_int("contexts_per_node");
-    }
-    if (!rs.is_null("threads_per_context")) {
-      trial.threads_per_context = rs.get_int("threads_per_context");
-    }
-    trial.fields = read_fields("trial", rs, kTrialCore);
-    out.push_back(std::move(trial));
-  }
-  return out;
+  return select_rows<profile::Trial>(
+      *connection_, "SELECT * FROM trial WHERE experiment = ? ORDER BY id",
+      {Value(experiment_id)});
 }
 
 std::optional<profile::Trial> DatabaseAPI::get_trial(std::int64_t id) {
-  auto stmt = connection_->prepare("SELECT * FROM trial WHERE id = ?");
-  stmt.set_int(1, id);
-  auto rs = stmt.execute_query();
-  if (!rs.next()) return std::nullopt;
-  profile::Trial trial;
-  trial.id = rs.get_int("id");
-  trial.experiment_id = rs.get_int("experiment");
-  trial.name = rs.get_string("name");
-  if (!rs.is_null("node_count")) trial.node_count = rs.get_int("node_count");
-  if (!rs.is_null("contexts_per_node")) {
-    trial.contexts_per_node = rs.get_int("contexts_per_node");
-  }
-  if (!rs.is_null("threads_per_context")) {
-    trial.threads_per_context = rs.get_int("threads_per_context");
-  }
-  trial.fields = read_fields("trial", rs, kTrialCore);
-  return trial;
+  return select_first<profile::Trial>(*connection_, "trial", "id", Value(id));
 }
 
 void DatabaseAPI::save_trial(profile::Trial& trial, bool extend_schema) {
   if (trial.experiment_id == profile::kNoId) {
     throw InvalidArgument("trial.experiment_id must be set before save");
   }
-  save_row_with_fields(
-      "trial",
+  save_row(
+      *connection_, "trial",
       {{"experiment", Value(trial.experiment_id)},
        {"name", Value(trial.name)},
        {"node_count", Value(trial.node_count)},
@@ -281,18 +389,13 @@ void DatabaseAPI::save_trial(profile::Trial& trial, bool extend_schema) {
 }
 
 void DatabaseAPI::delete_trial(std::int64_t trial_id) {
-  // Children first (the engine enforces restrict semantics on FKs). The
-  // engine has no subqueries, so collect child ids through the API.
-  std::vector<std::int64_t> event_ids;
-  for (const auto& event : get_interval_events(trial_id)) {
-    event_ids.push_back(event.id);
-  }
-  std::vector<std::int64_t> atomic_ids;
-  for (const auto& event : get_atomic_events(trial_id)) {
-    atomic_ids.push_back(event.id);
-  }
-
   sqldb::ScopedTransaction txn(*connection_);
+  // Children first (the engine enforces restrict semantics on FKs). The
+  // engine has no subqueries, so collect the event ids up front.
+  const auto event_ids = select_under_trial<std::int64_t>(
+      *connection_, "interval_event", "id", trial_id);
+  const auto atomic_ids = select_under_trial<std::int64_t>(
+      *connection_, "atomic_event", "id", trial_id);
   auto run_for = [&](const std::string& sql,
                      const std::vector<std::int64_t>& ids) {
     auto stmt = connection_->prepare(sql);
@@ -301,18 +404,17 @@ void DatabaseAPI::delete_trial(std::int64_t trial_id) {
       stmt.execute_update();
     }
   };
-  run_for("DELETE FROM interval_location_profile WHERE interval_event = ?",
-          event_ids);
-  run_for("DELETE FROM interval_total_summary WHERE interval_event = ?",
-          event_ids);
-  run_for("DELETE FROM interval_mean_summary WHERE interval_event = ?",
-          event_ids);
+  for (const char* table : {"interval_location_profile", "interval_total_summary",
+                            "interval_mean_summary"}) {
+    run_for(std::string("DELETE FROM ") + table + " WHERE interval_event = ?",
+            event_ids);
+  }
   run_for("DELETE FROM atomic_location_profile WHERE atomic_event = ?",
           atomic_ids);
-  run_for("DELETE FROM interval_event WHERE trial = ?", {trial_id});
-  run_for("DELETE FROM atomic_event WHERE trial = ?", {trial_id});
-  run_for("DELETE FROM metric WHERE trial = ?", {trial_id});
-  run_for("DELETE FROM analysis_result WHERE trial = ?", {trial_id});
+  for (const char* table :
+       {"interval_event", "atomic_event", "metric", "analysis_result"}) {
+    run_for(std::string("DELETE FROM ") + table + " WHERE trial = ?", {trial_id});
+  }
   run_for("DELETE FROM trial WHERE id = ?", {trial_id});
   txn.commit();
 }
@@ -323,7 +425,6 @@ std::int64_t DatabaseAPI::upload_trial(const profile::TrialData& data,
                                        std::int64_t experiment_id,
                                        bool extend_schema) {
   util::WallTimer upload_timer;
-  std::uint64_t uploaded_rows = 0;
   profile::Trial trial = data.trial();
   trial.id = profile::kNoId;
   trial.experiment_id = experiment_id;
@@ -332,142 +433,79 @@ std::int64_t DatabaseAPI::upload_trial(const profile::TrialData& data,
   sqldb::ScopedTransaction txn(*connection_);
   save_trial(trial, extend_schema);
 
-  // Metrics.
-  std::vector<std::int64_t> metric_ids;
-  {
-    auto stmt = connection_->prepare(
-        "INSERT INTO metric (trial, name, derived) VALUES (?, ?, ?)");
-    for (const auto& metric : data.metrics()) {
+  // Metrics and events: (trial, name, third) rows inserted in model
+  // order, so reading the new trial's ids back ascending maps each model
+  // index to its id.
+  auto insert_named = [&](const std::string& table, const std::string& third,
+                          const auto& items, auto third_value) {
+    auto stmt = connection_->prepare(insert_sql(table, {"trial", "name", third}));
+    for (const auto& item : items) {
       stmt.set_int(1, trial.id);
-      stmt.set_string(2, metric.name);
-      stmt.set_int(3, metric.derived ? 1 : 0);
+      stmt.set_string(2, item.name);
+      stmt.set_value(3, third_value(item));
       stmt.execute_update();
     }
-    auto rs = connection_->execute(
-        "SELECT id FROM metric WHERE trial = " + std::to_string(trial.id) +
-        " ORDER BY id");
-    while (rs.next()) metric_ids.push_back(rs.get_int(1));
-  }
-
-  // Interval events.
-  std::vector<std::int64_t> event_ids;
-  {
-    auto stmt = connection_->prepare(
-        "INSERT INTO interval_event (trial, name, group_name) VALUES (?, ?, ?)");
-    for (const auto& event : data.events()) {
-      stmt.set_int(1, trial.id);
-      stmt.set_string(2, event.name);
-      stmt.set_string(3, event.group);
-      stmt.execute_update();
-    }
-    auto rs = connection_->execute(
-        "SELECT id FROM interval_event WHERE trial = " +
-        std::to_string(trial.id) + " ORDER BY id");
-    while (rs.next()) event_ids.push_back(rs.get_int(1));
-  }
-
-  // Atomic events.
-  std::vector<std::int64_t> atomic_ids;
-  {
-    auto stmt = connection_->prepare(
-        "INSERT INTO atomic_event (trial, name, group_name) VALUES (?, ?, ?)");
-    for (const auto& event : data.atomic_events()) {
-      stmt.set_int(1, trial.id);
-      stmt.set_string(2, event.name);
-      stmt.set_string(3, event.group);
-      stmt.execute_update();
-    }
-    auto rs = connection_->execute("SELECT id FROM atomic_event WHERE trial = " +
-                                   std::to_string(trial.id) + " ORDER BY id");
-    while (rs.next()) atomic_ids.push_back(rs.get_int(1));
-  }
+    return select_under_trial<std::int64_t>(*connection_, table, "id", trial.id);
+  };
+  const auto metric_ids =
+      insert_named("metric", "derived", data.metrics(), [](const auto& metric) {
+        return Value(std::int64_t{metric.derived ? 1 : 0});
+      });
+  const auto group_of = [](const auto& event) { return Value(event.group); };
+  const auto event_ids =
+      insert_named("interval_event", "group_name", data.events(), group_of);
+  const auto atomic_ids =
+      insert_named("atomic_event", "group_name", data.atomic_events(), group_of);
 
   // Location profiles (the bulk of the data: one row per point).
   {
-    auto stmt = connection_->prepare(
-        "INSERT INTO interval_location_profile (interval_event, node, context,"
-        " thread, metric, inclusive_percentage, inclusive,"
-        " exclusive_percentage, exclusive, inclusive_per_call, num_calls,"
-        " num_subrs) VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)");
+    auto stmt = connection_->prepare(interval_location_insert());
     data.for_each_interval([&](std::size_t e, std::size_t t, std::size_t m,
                                const profile::IntervalDataPoint& p) {
       const profile::ThreadId& id = data.threads()[t];
-      stmt.set_int(1, event_ids.at(e));
-      stmt.set_int(2, id.node);
-      stmt.set_int(3, id.context);
-      stmt.set_int(4, id.thread);
-      stmt.set_int(5, metric_ids.at(m));
-      stmt.set_double(6, p.inclusive_pct);
-      stmt.set_double(7, p.inclusive);
-      stmt.set_double(8, p.exclusive_pct);
-      stmt.set_double(9, p.exclusive);
-      stmt.set_double(10, p.inclusive_per_call);
-      stmt.set_double(11, p.num_calls);
-      stmt.set_double(12, p.num_subrs);
-      stmt.execute_update();
+      insert_point(stmt, {event_ids.at(e), id.node, id.context, id.thread,
+                          metric_ids.at(m)},
+                   p, kIntervalValueColumns);
     });
   }
 
   // Total & mean summary tables.
+  const auto summaries = profile::compute_interval_summaries(data);
   {
-    const auto summaries = profile::compute_interval_summaries(data);
-    auto prepare_summary = [&](const char* table) {
+    auto prepare_summary = [&](const std::string& table) {
       return connection_->prepare(
-          std::string("INSERT INTO ") + table +
-          " (interval_event, metric, inclusive_percentage, inclusive,"
-          " exclusive_percentage, exclusive, inclusive_per_call, num_calls,"
-          " num_subrs) VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)");
+          insert_sql(table, {"interval_event", "metric"}, kIntervalValueColumns));
     };
     auto total_stmt = prepare_summary("interval_total_summary");
     auto mean_stmt = prepare_summary("interval_mean_summary");
-    auto insert_summary = [&](sqldb::PreparedStatement& stmt,
-                              const profile::IntervalSummary& s,
-                              const profile::IntervalDataPoint& p) {
-      stmt.set_int(1, event_ids.at(s.event_index));
-      stmt.set_int(2, metric_ids.at(s.metric_index));
-      stmt.set_double(3, p.inclusive_pct);
-      stmt.set_double(4, p.inclusive);
-      stmt.set_double(5, p.exclusive_pct);
-      stmt.set_double(6, p.exclusive);
-      stmt.set_double(7, p.inclusive_per_call);
-      stmt.set_double(8, p.num_calls);
-      stmt.set_double(9, p.num_subrs);
-      stmt.execute_update();
-    };
     for (const auto& s : summaries) {
-      insert_summary(total_stmt, s, s.total);
-      insert_summary(mean_stmt, s, s.mean);
+      const std::int64_t event = event_ids.at(s.event_index);
+      const std::int64_t metric = metric_ids.at(s.metric_index);
+      insert_point(total_stmt, {event, metric}, s.total, kIntervalValueColumns);
+      insert_point(mean_stmt, {event, metric}, s.mean, kIntervalValueColumns);
     }
-    uploaded_rows += 2 * summaries.size();
   }
 
   // Atomic location profiles.
   {
     auto stmt = connection_->prepare(
-        "INSERT INTO atomic_location_profile (atomic_event, node, context,"
-        " thread, sample_count, maximum_value, minimum_value, mean_value,"
-        " standard_deviation) VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)");
+        insert_sql("atomic_location_profile",
+                   {"atomic_event", "node", "context", "thread"},
+                   kAtomicValueColumns));
     data.for_each_atomic([&](std::size_t a, std::size_t t,
                              const profile::AtomicDataPoint& p) {
       const profile::ThreadId& id = data.threads()[t];
-      stmt.set_int(1, atomic_ids.at(a));
-      stmt.set_int(2, id.node);
-      stmt.set_int(3, id.context);
-      stmt.set_int(4, id.thread);
-      stmt.set_double(5, p.sample_count);
-      stmt.set_double(6, p.maximum);
-      stmt.set_double(7, p.minimum);
-      stmt.set_double(8, p.mean);
-      stmt.set_double(9, p.std_dev);
-      stmt.execute_update();
+      insert_point(stmt, {atomic_ids.at(a), id.node, id.context, id.thread}, p,
+                   kAtomicValueColumns);
     });
   }
 
   txn.commit();
 
-  uploaded_rows += data.metrics().size() + data.events().size() +
-                   data.atomic_events().size() + data.interval_point_count() +
-                   data.atomic_point_count();
+  const std::uint64_t uploaded_rows =
+      data.metrics().size() + data.events().size() +
+      data.atomic_events().size() + data.interval_point_count() +
+      data.atomic_point_count() + 2 * summaries.size();
   auto& registry = telemetry::MetricsRegistry::instance();
   static auto& uploads = registry.counter("api.trial.uploads");
   static auto& upload_rows = registry.counter("api.trial.upload_rows");
@@ -538,159 +576,46 @@ profile::TrialData DatabaseAPI::load_trial(std::int64_t trial_id) {
 // ------------------------------------------------------ selective queries
 
 std::vector<profile::Metric> DatabaseAPI::get_metrics(std::int64_t trial_id) {
-  auto stmt = connection_->prepare(
-      "SELECT id, name, derived FROM metric WHERE trial = ? ORDER BY id");
-  stmt.set_int(1, trial_id);
-  auto rs = stmt.execute_query();
-  std::vector<profile::Metric> out;
-  while (rs.next()) {
-    profile::Metric metric;
-    metric.id = rs.get_int(1);
-    metric.name = rs.get_string(2);
-    metric.derived = rs.get_int(3) != 0;
-    out.push_back(std::move(metric));
-  }
-  return out;
+  return select_under_trial<profile::Metric>(*connection_, "metric",
+                                             "id, name, derived", trial_id);
 }
 
 std::vector<profile::IntervalEvent> DatabaseAPI::get_interval_events(
     std::int64_t trial_id) {
-  auto stmt = connection_->prepare(
-      "SELECT id, name, group_name FROM interval_event WHERE trial = ?"
-      " ORDER BY id");
-  stmt.set_int(1, trial_id);
-  auto rs = stmt.execute_query();
-  std::vector<profile::IntervalEvent> out;
-  while (rs.next()) {
-    profile::IntervalEvent event;
-    event.id = rs.get_int(1);
-    event.name = rs.get_string(2);
-    event.group = rs.get_string(3);
-    out.push_back(std::move(event));
-  }
-  return out;
+  return select_events<profile::IntervalEvent>(*connection_, "interval_event",
+                                               trial_id);
 }
 
 std::vector<profile::AtomicEvent> DatabaseAPI::get_atomic_events(
     std::int64_t trial_id) {
-  auto stmt = connection_->prepare(
-      "SELECT id, name, group_name FROM atomic_event WHERE trial = ? ORDER BY id");
-  stmt.set_int(1, trial_id);
-  auto rs = stmt.execute_query();
-  std::vector<profile::AtomicEvent> out;
-  while (rs.next()) {
-    profile::AtomicEvent event;
-    event.id = rs.get_int(1);
-    event.name = rs.get_string(2);
-    event.group = rs.get_string(3);
-    out.push_back(std::move(event));
-  }
-  return out;
+  return select_events<profile::AtomicEvent>(*connection_, "atomic_event",
+                                             trial_id);
 }
 
 std::vector<IntervalProfileRow> DatabaseAPI::get_interval_data(
     std::int64_t trial_id, const DataFilter& filter) {
-  std::string sql =
-      "SELECT e.id, e.name, p.node, p.context, p.thread, p.metric, "
-      " p.inclusive, p.exclusive, p.inclusive_percentage,"
-      " p.exclusive_percentage, p.inclusive_per_call, p.num_calls, p.num_subrs"
-      " FROM interval_event e JOIN interval_location_profile p"
-      " ON p.interval_event = e.id WHERE e.trial = ?";
-  Params params;
-  params.push_back(Value(trial_id));
-  auto add = [&](const char* clause, Value v) {
-    sql += clause;
-    params.push_back(std::move(v));
-  };
-  if (filter.event_id) add(" AND e.id = ?", Value(*filter.event_id));
-  if (filter.event_group) add(" AND e.group_name = ?", Value(*filter.event_group));
-  if (filter.metric_id) add(" AND p.metric = ?", Value(*filter.metric_id));
-  if (filter.node) add(" AND p.node = ?", Value(std::int64_t{*filter.node}));
-  if (filter.context) {
-    add(" AND p.context = ?", Value(std::int64_t{*filter.context}));
-  }
-  if (filter.thread) add(" AND p.thread = ?", Value(std::int64_t{*filter.thread}));
-
-  auto rs = connection_->execute(sql, params);
-  std::vector<IntervalProfileRow> out;
-  out.reserve(rs.row_count());
-  while (rs.next()) {
-    IntervalProfileRow row;
-    row.event_id = rs.get_int(1);
-    row.event_name = rs.get_string(2);
-    row.thread.node = static_cast<std::int32_t>(rs.get_int(3));
-    row.thread.context = static_cast<std::int32_t>(rs.get_int(4));
-    row.thread.thread = static_cast<std::int32_t>(rs.get_int(5));
-    row.metric_id = rs.get_int(6);
-    row.data.inclusive = rs.get_double(7);
-    row.data.exclusive = rs.get_double(8);
-    row.data.inclusive_pct = rs.get_double(9);
-    row.data.exclusive_pct = rs.get_double(10);
-    row.data.inclusive_per_call = rs.get_double(11);
-    row.data.num_calls = rs.get_double(12);
-    row.data.num_subrs = rs.get_double(13);
-    out.push_back(std::move(row));
-  }
-  return out;
+  return select_location_rows<IntervalProfileRow>(
+      *connection_, "interval_event", "interval_location_profile",
+      kIntervalValueColumns, trial_id, filter);
 }
 
 std::vector<AtomicProfileRow> DatabaseAPI::get_atomic_data(
     std::int64_t trial_id, const DataFilter& filter) {
-  std::string sql =
-      "SELECT e.id, e.name, p.node, p.context, p.thread, p.sample_count,"
-      " p.maximum_value, p.minimum_value, p.mean_value, p.standard_deviation"
-      " FROM atomic_event e JOIN atomic_location_profile p"
-      " ON p.atomic_event = e.id WHERE e.trial = ?";
-  Params params;
-  params.push_back(Value(trial_id));
-  if (filter.event_id) {
-    sql += " AND e.id = ?";
-    params.push_back(Value(*filter.event_id));
-  }
-  if (filter.node) {
-    sql += " AND p.node = ?";
-    params.push_back(Value(std::int64_t{*filter.node}));
-  }
-  if (filter.context) {
-    sql += " AND p.context = ?";
-    params.push_back(Value(std::int64_t{*filter.context}));
-  }
-  if (filter.thread) {
-    sql += " AND p.thread = ?";
-    params.push_back(Value(std::int64_t{*filter.thread}));
-  }
-  auto rs = connection_->execute(sql, params);
-  std::vector<AtomicProfileRow> out;
-  while (rs.next()) {
-    AtomicProfileRow row;
-    row.event_id = rs.get_int(1);
-    row.event_name = rs.get_string(2);
-    row.thread.node = static_cast<std::int32_t>(rs.get_int(3));
-    row.thread.context = static_cast<std::int32_t>(rs.get_int(4));
-    row.thread.thread = static_cast<std::int32_t>(rs.get_int(5));
-    row.data.sample_count = rs.get_double(6);
-    row.data.maximum = rs.get_double(7);
-    row.data.minimum = rs.get_double(8);
-    row.data.mean = rs.get_double(9);
-    row.data.std_dev = rs.get_double(10);
-    out.push_back(std::move(row));
-  }
-  return out;
+  return select_location_rows<AtomicProfileRow>(
+      *connection_, "atomic_event", "atomic_location_profile",
+      kAtomicValueColumns, trial_id, filter);
 }
 
 AggregateSummary DatabaseAPI::aggregate_interval_column(std::int64_t trial_id,
                                                         std::int64_t event_id,
                                                         const std::string& column,
                                                         const DataFilter& filter) {
-  static const char* kAllowed[] = {
-      "inclusive",          "exclusive",          "inclusive_percentage",
-      "exclusive_percentage", "inclusive_per_call", "num_calls",
-      "num_subrs"};
-  bool ok = false;
-  for (const char* c : kAllowed) {
-    if (util::iequals(c, column)) ok = true;
+  const auto& allowed = kIntervalValueColumns;
+  if (std::none_of(allowed.begin(), allowed.end(), [&](const auto& c) {
+        return util::iequals(c.name, column);
+      })) {
+    throw InvalidArgument("not an aggregatable profile column: " + column);
   }
-  if (!ok) throw InvalidArgument("not an aggregatable profile column: " + column);
 
   // Driven from the event's profile rows through the FK index on
   // p.interval_event, so the cost tracks one event's rows, not the
@@ -701,17 +626,8 @@ AggregateSummary DatabaseAPI::aggregate_interval_column(std::int64_t trial_id,
                     ") FROM interval_location_profile p JOIN interval_event e"
                     " ON e.id = p.interval_event"
                     " WHERE p.interval_event = ? AND e.trial = ?";
-  Params params;
-  params.push_back(Value(event_id));
-  params.push_back(Value(trial_id));
-  if (filter.metric_id) {
-    sql += " AND p.metric = ?";
-    params.push_back(Value(*filter.metric_id));
-  }
-  if (filter.node) {
-    sql += " AND p.node = ?";
-    params.push_back(Value(std::int64_t{*filter.node}));
-  }
+  Params params{Value(event_id), Value(trial_id)};
+  append_filter(filter, /*has_metric=*/true, sql, params);
   auto rs = connection_->execute(sql, params);
   AggregateSummary out;
   if (rs.next()) {
@@ -742,41 +658,18 @@ std::int64_t DatabaseAPI::save_derived_metric(std::int64_t trial_id,
   }
 
   sqldb::ScopedTransaction txn(*connection_);
-  std::int64_t metric_id = profile::kNoId;
-  {
-    auto stmt = connection_->prepare(
-        "INSERT INTO metric (trial, name, derived) VALUES (?, ?, 1)");
-    stmt.set_int(1, trial_id);
-    stmt.set_string(2, metric_name);
-    stmt.execute_update();
-    auto rs = connection_->execute("SELECT MAX(id) FROM metric");
-    rs.next();
-    metric_id = rs.get_int(1);
-  }
-  auto stmt = connection_->prepare(
-      "INSERT INTO interval_location_profile (interval_event, node, context,"
-      " thread, metric, inclusive_percentage, inclusive,"
-      " exclusive_percentage, exclusive, inclusive_per_call, num_calls,"
-      " num_subrs) VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)");
+  const std::int64_t metric_id = insert_returning_id(
+      *connection_, "metric", {"trial", "name", "derived"},
+      {Value(trial_id), Value(metric_name), Value(std::int64_t{1})});
+  auto stmt = connection_->prepare(interval_location_insert());
   data.for_each_interval([&](std::size_t e, std::size_t t, std::size_t m,
                              const profile::IntervalDataPoint& p) {
     if (m != *metric_index) return;
     auto it = event_id_of.find(data.events()[e].name);
     if (it == event_id_of.end()) return;  // event unknown to the trial
     const profile::ThreadId& id = data.threads()[t];
-    stmt.set_int(1, it->second);
-    stmt.set_int(2, id.node);
-    stmt.set_int(3, id.context);
-    stmt.set_int(4, id.thread);
-    stmt.set_int(5, metric_id);
-    stmt.set_double(6, p.inclusive_pct);
-    stmt.set_double(7, p.inclusive);
-    stmt.set_double(8, p.exclusive_pct);
-    stmt.set_double(9, p.exclusive);
-    stmt.set_double(10, p.inclusive_per_call);
-    stmt.set_double(11, p.num_calls);
-    stmt.set_double(12, p.num_subrs);
-    stmt.execute_update();
+    insert_point(stmt, {it->second, id.node, id.context, id.thread, metric_id},
+                 p, kIntervalValueColumns);
   });
   txn.commit();
   return metric_id;
@@ -793,34 +686,17 @@ std::int64_t DatabaseAPI::save_analysis_result(std::int64_t trial_id,
   // interleaving with another worker's insert (which would hand this
   // request someone else's result_id).
   sqldb::ScopedTransaction txn(*connection_);
-  auto stmt = connection_->prepare(
-      "INSERT INTO analysis_result (trial, name, kind, content)"
-      " VALUES (?, ?, ?, ?)");
-  stmt.set_int(1, trial_id);
-  stmt.set_string(2, name);
-  stmt.set_string(3, kind);
-  stmt.set_string(4, content);
-  stmt.execute_update();
-  auto rs = connection_->execute("SELECT MAX(id) FROM analysis_result");
-  rs.next();
-  const std::int64_t id = rs.get_int(1);
+  const std::int64_t id = insert_returning_id(
+      *connection_, "analysis_result", {"trial", "name", "kind", "content"},
+      {Value(trial_id), Value(name), Value(kind), Value(content)});
   txn.commit();
   return id;
 }
 
 std::vector<DatabaseAPI::AnalysisResult> DatabaseAPI::list_analysis_results(
     std::int64_t trial_id) {
-  auto stmt = connection_->prepare(
-      "SELECT id, name, kind, content FROM analysis_result WHERE trial = ?"
-      " ORDER BY id");
-  stmt.set_int(1, trial_id);
-  auto rs = stmt.execute_query();
-  std::vector<AnalysisResult> out;
-  while (rs.next()) {
-    out.push_back({rs.get_int(1), rs.get_string(2), rs.get_string(3),
-                   rs.get_string(4)});
-  }
-  return out;
+  return select_under_trial<AnalysisResult>(*connection_, "analysis_result",
+                                             "id, name, kind, content", trial_id);
 }
 
 }  // namespace perfdmf::api

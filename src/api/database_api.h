@@ -111,7 +111,8 @@ class DatabaseAPI {
                                                 const DataFilter& filter = {});
 
   /// Aggregate a profile column ("inclusive", "exclusive", "num_calls",
-  /// ...) per event over all threads matching `filter`.
+  /// ...) of one event over all of its rows that match every member
+  /// `filter` sets.
   AggregateSummary aggregate_interval_column(std::int64_t trial_id,
                                              std::int64_t event_id,
                                              const std::string& column,
@@ -138,14 +139,6 @@ class DatabaseAPI {
   std::vector<AnalysisResult> list_analysis_results(std::int64_t trial_id);
 
  private:
-  profile::Metadata read_fields(const std::string& table, sqldb::ResultSet& rs,
-                                const std::vector<std::string>& core_columns);
-  void save_row_with_fields(const std::string& table,
-                            const std::vector<std::pair<std::string, sqldb::Value>>&
-                                core_values,
-                            std::int64_t& id, const profile::Metadata& fields,
-                            bool extend_schema);
-
   std::shared_ptr<sqldb::Connection> connection_;
 };
 

@@ -16,14 +16,7 @@ DatabaseSession::DatabaseSession(const std::filesystem::path& directory)
 DatabaseSession DatabaseSession::fork() const {
   DatabaseSession out(std::make_shared<sqldb::Connection>(
       api_.connection_ptr()->database_ptr()));
-  out.application_ = application_;
-  out.experiment_ = experiment_;
-  out.trial_ = trial_;
-  out.node_ = node_;
-  out.context_ = context_;
-  out.thread_ = thread_;
-  out.metric_ = metric_;
-  out.group_ = group_;
+  static_cast<DataSession&>(out) = *this;  // every selection
   return out;
 }
 

@@ -4,6 +4,17 @@
 
 namespace perfdmf::api {
 
+namespace {
+/// `items` with each id set to its index: the in-memory session's ids.
+template <typename Item>
+std::vector<Item> numbered(std::vector<Item> items) {
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    items[i].id = static_cast<std::int64_t>(i);
+  }
+  return items;
+}
+}  // namespace
+
 std::int64_t FileDataSession::add_trial(profile::TrialData trial) {
   trials_.push_back(std::move(trial));
   const std::int64_t id = static_cast<std::int64_t>(trials_.size());
@@ -53,36 +64,15 @@ std::vector<profile::Trial> FileDataSession::get_trial_list() {
 }
 
 std::vector<profile::Metric> FileDataSession::get_metrics() {
-  const auto& data = selected();
-  std::vector<profile::Metric> out;
-  for (std::size_t m = 0; m < data.metrics().size(); ++m) {
-    profile::Metric metric = data.metrics()[m];
-    metric.id = static_cast<std::int64_t>(m);
-    out.push_back(std::move(metric));
-  }
-  return out;
+  return numbered(selected().metrics());
 }
 
 std::vector<profile::IntervalEvent> FileDataSession::get_interval_events() {
-  const auto& data = selected();
-  std::vector<profile::IntervalEvent> out;
-  for (std::size_t e = 0; e < data.events().size(); ++e) {
-    profile::IntervalEvent event = data.events()[e];
-    event.id = static_cast<std::int64_t>(e);
-    out.push_back(std::move(event));
-  }
-  return out;
+  return numbered(selected().events());
 }
 
 std::vector<profile::AtomicEvent> FileDataSession::get_atomic_events() {
-  const auto& data = selected();
-  std::vector<profile::AtomicEvent> out;
-  for (std::size_t a = 0; a < data.atomic_events().size(); ++a) {
-    profile::AtomicEvent event = data.atomic_events()[a];
-    event.id = static_cast<std::int64_t>(a);
-    out.push_back(std::move(event));
-  }
-  return out;
+  return numbered(selected().atomic_events());
 }
 
 std::vector<IntervalProfileRow> FileDataSession::get_interval_data() {
@@ -116,6 +106,7 @@ std::vector<AtomicProfileRow> FileDataSession::get_atomic_data() {
     if (node_ && id.node != *node_) return;
     if (context_ && id.context != *context_) return;
     if (thread_ && id.thread != *thread_) return;
+    if (group_ && data.atomic_events()[a].group != *group_) return;
     AtomicProfileRow row;
     row.event_id = static_cast<std::int64_t>(a);
     row.event_name = data.atomic_events()[a].name;

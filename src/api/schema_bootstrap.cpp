@@ -2,8 +2,47 @@
 
 namespace perfdmf::api {
 
+namespace {
+using profile::AtomicDataPoint;
+using profile::IntervalDataPoint;
+
+const ValueColumn<IntervalDataPoint> kIntervalColumns[] = {
+    {"inclusive_percentage", &IntervalDataPoint::inclusive_pct},
+    {"inclusive", &IntervalDataPoint::inclusive},
+    {"exclusive_percentage", &IntervalDataPoint::exclusive_pct},
+    {"exclusive", &IntervalDataPoint::exclusive},
+    {"inclusive_per_call", &IntervalDataPoint::inclusive_per_call},
+    {"num_calls", &IntervalDataPoint::num_calls},
+    {"num_subrs", &IntervalDataPoint::num_subrs},
+};
+
+const ValueColumn<AtomicDataPoint> kAtomicColumns[] = {
+    {"sample_count", &AtomicDataPoint::sample_count},
+    {"maximum_value", &AtomicDataPoint::maximum},
+    {"minimum_value", &AtomicDataPoint::minimum},
+    {"mean_value", &AtomicDataPoint::mean},
+    {"standard_deviation", &AtomicDataPoint::std_dev},
+};
+}  // namespace
+
+const std::span<const ValueColumn<IntervalDataPoint>> kIntervalValueColumns =
+    kIntervalColumns;
+const std::span<const ValueColumn<AtomicDataPoint>> kAtomicValueColumns =
+    kAtomicColumns;
+
 void bootstrap_schema(sqldb::Connection& connection) {
-  static const char* kDdl[] = {
+  const std::string event_columns =
+      " (id INTEGER PRIMARY KEY, trial INTEGER NOT NULL, name TEXT NOT NULL,"
+      " group_name TEXT, FOREIGN KEY (trial) REFERENCES trial (id))";
+  const std::string interval_values =
+      " " + join_columns(kIntervalValueColumns, "", " REAL") + ",";
+  const std::string interval_keys =
+      " FOREIGN KEY (interval_event) REFERENCES interval_event (id),"
+      " FOREIGN KEY (metric) REFERENCES metric (id))";
+  const std::string summary_columns =
+      " (interval_event INTEGER NOT NULL, metric INTEGER NOT NULL," +
+      interval_values + interval_keys;
+  const std::string ddl[] = {
       // ---- experiment hierarchy (flexible: extra columns may be added) ----
       "CREATE TABLE IF NOT EXISTS application ("
       " id INTEGER PRIMARY KEY,"
@@ -41,74 +80,30 @@ void bootstrap_schema(sqldb::Connection& connection) {
       " FOREIGN KEY (trial) REFERENCES trial (id))",
 
       // ---- interval (timer) data ----
-      "CREATE TABLE IF NOT EXISTS interval_event ("
-      " id INTEGER PRIMARY KEY,"
-      " trial INTEGER NOT NULL,"
-      " name TEXT NOT NULL,"
-      " group_name TEXT,"
-      " FOREIGN KEY (trial) REFERENCES trial (id))",
+      "CREATE TABLE IF NOT EXISTS interval_event" + event_columns,
 
       "CREATE TABLE IF NOT EXISTS interval_location_profile ("
       " interval_event INTEGER NOT NULL,"
       " node INTEGER NOT NULL,"
       " context INTEGER NOT NULL,"
       " thread INTEGER NOT NULL,"
-      " metric INTEGER NOT NULL,"
-      " inclusive_percentage REAL,"
-      " inclusive REAL,"
-      " exclusive_percentage REAL,"
-      " exclusive REAL,"
-      " inclusive_per_call REAL,"
-      " num_calls REAL,"
-      " num_subrs REAL,"
-      " FOREIGN KEY (interval_event) REFERENCES interval_event (id),"
-      " FOREIGN KEY (metric) REFERENCES metric (id))",
+      " metric INTEGER NOT NULL," +
+          interval_values + interval_keys,
 
-      "CREATE TABLE IF NOT EXISTS interval_total_summary ("
-      " interval_event INTEGER NOT NULL,"
-      " metric INTEGER NOT NULL,"
-      " inclusive_percentage REAL,"
-      " inclusive REAL,"
-      " exclusive_percentage REAL,"
-      " exclusive REAL,"
-      " inclusive_per_call REAL,"
-      " num_calls REAL,"
-      " num_subrs REAL,"
-      " FOREIGN KEY (interval_event) REFERENCES interval_event (id),"
-      " FOREIGN KEY (metric) REFERENCES metric (id))",
+      "CREATE TABLE IF NOT EXISTS interval_total_summary" + summary_columns,
 
-      "CREATE TABLE IF NOT EXISTS interval_mean_summary ("
-      " interval_event INTEGER NOT NULL,"
-      " metric INTEGER NOT NULL,"
-      " inclusive_percentage REAL,"
-      " inclusive REAL,"
-      " exclusive_percentage REAL,"
-      " exclusive REAL,"
-      " inclusive_per_call REAL,"
-      " num_calls REAL,"
-      " num_subrs REAL,"
-      " FOREIGN KEY (interval_event) REFERENCES interval_event (id),"
-      " FOREIGN KEY (metric) REFERENCES metric (id))",
+      "CREATE TABLE IF NOT EXISTS interval_mean_summary" + summary_columns,
 
       // ---- atomic (user event) data ----
-      "CREATE TABLE IF NOT EXISTS atomic_event ("
-      " id INTEGER PRIMARY KEY,"
-      " trial INTEGER NOT NULL,"
-      " name TEXT NOT NULL,"
-      " group_name TEXT,"
-      " FOREIGN KEY (trial) REFERENCES trial (id))",
+      "CREATE TABLE IF NOT EXISTS atomic_event" + event_columns,
 
       "CREATE TABLE IF NOT EXISTS atomic_location_profile ("
       " atomic_event INTEGER NOT NULL,"
       " node INTEGER NOT NULL,"
       " context INTEGER NOT NULL,"
-      " thread INTEGER NOT NULL,"
-      " sample_count REAL,"
-      " maximum_value REAL,"
-      " minimum_value REAL,"
-      " mean_value REAL,"
-      " standard_deviation REAL,"
-      " FOREIGN KEY (atomic_event) REFERENCES atomic_event (id))",
+      " thread INTEGER NOT NULL, " +
+          join_columns(kAtomicValueColumns, "", " REAL") +
+          ", FOREIGN KEY (atomic_event) REFERENCES atomic_event (id))",
 
       // ---- analysis results (PerfExplorer extension, paper §5.3) ----
       "CREATE TABLE IF NOT EXISTS analysis_result ("
@@ -122,7 +117,7 @@ void bootstrap_schema(sqldb::Connection& connection) {
       // ---- secondary indexes beyond the automatic PK/FK ones ----
       "CREATE INDEX idx_ilp_node ON interval_location_profile (node)",
   };
-  for (const char* sql : kDdl) {
+  for (const auto& sql : ddl) {
     connection.execute_update(sql);
   }
 }

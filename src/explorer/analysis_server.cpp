@@ -1,7 +1,6 @@
 #include "explorer/analysis_server.h"
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "analysis/correlation.h"
 #include "analysis/imbalance.h"
@@ -22,19 +21,6 @@ telemetry::Gauge& queue_depth_gauge() {
   return g;
 }
 
-telemetry::Counter& shed_counter() {
-  static telemetry::Counter& c =
-      telemetry::MetricsRegistry::instance().counter("explorer.requests_shed");
-  return c;
-}
-
-std::size_t max_pending_from_env() {
-  const char* raw = std::getenv("PERFDMF_ANALYSIS_MAX_PENDING");
-  if (raw == nullptr || *raw == '\0') return 0;
-  char* end = nullptr;
-  const long v = std::strtol(raw, &end, 10);
-  return (end != raw && v > 0) ? static_cast<std::size_t>(v) : 0;
-}
 }  // namespace
 
 const char* analysis_kind_name(AnalysisKind kind) {
@@ -52,7 +38,6 @@ const char* analysis_kind_name(AnalysisKind kind) {
 AnalysisServer::AnalysisServer(std::shared_ptr<sqldb::Connection> connection,
                                std::size_t workers)
     : api_(std::move(connection)) {
-  max_pending_ = max_pending_from_env();
   if (workers > 0) {
     // Per-worker connections over the shared database: requests on
     // different workers read in parallel under the shared-read lock.
@@ -99,19 +84,7 @@ std::future<AnalysisResponse> AnalysisServer::submit_async(
     return promise.get_future();
   }
   {
-    // Backpressure: shed instead of queueing without bound. The check
-    // and the slot claim (++submitted_) happen under the same lock that
-    // counts completions, so the in-flight count can't race past the
-    // bound.
     std::lock_guard lock(state_mutex_);
-    if (max_pending_ > 0 && submitted_ - completed_ >= max_pending_) {
-      shed_counter().add();
-      throw DbError("analysis server overloaded: " +
-                        std::to_string(submitted_ - completed_) +
-                        " requests pending (max " +
-                        std::to_string(max_pending_) + ")",
-                    DbError::Kind::kOverloaded);
-    }
     ++submitted_;
   }
   queue_depth_gauge().add(1);
@@ -154,16 +127,6 @@ std::vector<api::DatabaseAPI::AnalysisResult> AnalysisServer::browse(
 void AnalysisServer::wait_idle() {
   std::unique_lock lock(state_mutex_);
   idle_cv_.wait(lock, [this] { return completed_ == submitted_; });
-}
-
-void AnalysisServer::set_max_pending(std::size_t n) {
-  std::lock_guard lock(state_mutex_);
-  max_pending_ = n;
-}
-
-std::size_t AnalysisServer::max_pending() const {
-  std::lock_guard lock(state_mutex_);
-  return max_pending_;
 }
 
 std::size_t AnalysisServer::submitted_count() const {

@@ -77,17 +77,8 @@ class AnalysisServer {
   /// Run the request now on the calling thread. Throws on bad requests.
   AnalysisResponse submit(const AnalysisRequest& request);
 
-  /// Queue the request on the worker pool. When a pending bound is set
-  /// (set_max_pending / PERFDMF_ANALYSIS_MAX_PENDING) and that many
-  /// requests are already in flight, throws DbError{kOverloaded}
-  /// immediately instead of queueing without bound — clients back off
-  /// and retry rather than wedging the pool.
+  /// Queue the request on the worker pool.
   std::future<AnalysisResponse> submit_async(const AnalysisRequest& request);
-
-  /// Bound on in-flight (submitted, not yet completed) requests;
-  /// 0 = unbounded. Initial value comes from PERFDMF_ANALYSIS_MAX_PENDING.
-  void set_max_pending(std::size_t n);
-  std::size_t max_pending() const;
 
   /// Browse stored results for a trial (the client's result view).
   std::vector<api::DatabaseAPI::AnalysisResult> browse(std::int64_t trial_id);
@@ -120,7 +111,6 @@ class AnalysisServer {
   std::condition_variable idle_cv_;
   std::size_t submitted_ = 0;
   std::size_t completed_ = 0;
-  std::size_t max_pending_ = 0;  // 0 = unbounded
 };
 
 }  // namespace perfdmf::explorer

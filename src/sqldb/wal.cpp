@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 
@@ -288,23 +289,7 @@ void mark_corrupt(Wal::ReplayInfo& info, const std::string& text,
 // ------------------------------------------------------------------ Wal
 
 Wal::Wal(std::filesystem::path path, SyncMode sync)
-    : path_(std::move(path)), sync_(sync) {
-  // Optional leader accumulation window: how long the group-commit leader
-  // waits for more committers to queue up before its single fsync. The
-  // default 0 is usually right — while one fsync is in flight, later
-  // commits pile up on the queue and the next leader covers them all.
-  if (const char* env = std::getenv("PERFDMF_GROUP_COMMIT_MAX_WAIT_US")) {
-    if (*env) {
-      try {
-        group_wait_ = std::chrono::microseconds(std::stoll(env));
-      } catch (const std::exception&) {
-        throw perfdmf::InvalidArgument(
-            "PERFDMF_GROUP_COMMIT_MAX_WAIT_US must be an integer, got " +
-            std::string(env));
-      }
-    }
-  }
-}
+    : path_(std::move(path)), sync_(sync) {}
 
 Wal::~Wal() {
   if (fd_ >= 0) ::close(fd_);
@@ -468,14 +453,6 @@ void Wal::wait_durable(std::uint64_t seq) {
       // outside the queue lock, publish, wake everyone covered.
       leader_active_ = true;
       const auto round_start = std::chrono::steady_clock::now();
-      if (group_wait_.count() > 0) {
-        // Accumulation window — nobody signals it; it is a bounded sleep
-        // that lets more committers finish their appends first. The
-        // leader's statement pays for it as fsync time (sync_now() covers
-        // only the fsync proper).
-        PhaseTimer accumulation_wait(telemetry::Phase::kFsync);
-        commit_cv_.wait_for(lk, group_wait_);
-      }
       const std::uint64_t target = written_seq_.load(std::memory_order_acquire);
       lk.unlock();
       std::exception_ptr err;

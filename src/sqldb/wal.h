@@ -43,7 +43,6 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <filesystem>
@@ -174,7 +173,6 @@ class Wal {
   bool leader_active_ = false;
   std::uint64_t fail_round_ = 0;       // bumped when a leader fsync fails
   std::exception_ptr last_fail_;       // rethrown to that round's followers
-  std::chrono::microseconds group_wait_{0};  // leader accumulation window
 };
 
 }  // namespace perfdmf::sqldb

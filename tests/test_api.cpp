@@ -9,6 +9,8 @@
 #include "api/schema_bootstrap.h"
 #include "io/synth.h"
 #include "profile/derived.h"
+#include "sqldb/database.h"
+#include "sqldb/table.h"
 #include "sqldb/wal.h"
 #include "telemetry/metrics.h"
 #include "util/error.h"
@@ -271,6 +273,58 @@ TEST_F(ApiTest, AggregateColumnMatchesManualComputation) {
 TEST_F(ApiTest, AggregateRejectsArbitraryColumn) {
   EXPECT_THROW(api.aggregate_interval_column(1, 1, "name; DROP TABLE trial"),
                InvalidArgument);
+}
+
+// Every DataFilter member narrows the aggregate exactly as it narrows
+// get_interval_data: a thread filter on a multi-thread trial counts that
+// thread's rows, not every thread's.
+TEST_F(ApiTest, AggregateHonoursEveryFilterMember) {
+  const std::int64_t experiment_id = make_app_and_experiment();
+  io::synth::TrialSpec spec;
+  spec.nodes = 2;
+  spec.contexts_per_node = 2;
+  spec.threads_per_context = 3;
+  spec.event_count = 4;
+  spec.extra_metrics = {"PAPI_FP_OPS"};
+  const std::int64_t trial_id =
+      api.upload_trial(io::synth::generate_trial(spec), experiment_id);
+  const auto events = api.get_interval_events(trial_id);
+  const auto metrics = api.get_metrics(trial_id);
+
+  auto aggregate_count = [&](DatabaseAPI::DataFilter filter) {
+    const auto summary = api.aggregate_interval_column(
+        trial_id, events[1].id, "exclusive", filter);
+    filter.event_id = events[1].id;
+    EXPECT_EQ(summary.count, api.get_interval_data(trial_id, filter).size());
+    return summary.count;
+  };
+  DatabaseAPI::DataFilter filter;
+  filter.metric_id = metrics[0].id;
+  EXPECT_EQ(aggregate_count(filter), 12u);  // 2 nodes x 2 contexts x 3 threads
+  filter.thread = 1;
+  EXPECT_EQ(aggregate_count(filter), 4u);
+  filter.context = 0;
+  EXPECT_EQ(aggregate_count(filter), 2u);
+  filter.node = 1;
+  EXPECT_EQ(aggregate_count(filter), 1u);
+  filter.event_group = events[1].group;
+  EXPECT_EQ(aggregate_count(filter), 1u);
+  filter.event_group = "no-such-group";
+  EXPECT_EQ(aggregate_count(filter), 0u);
+}
+
+TEST_F(ApiTest, AtomicDataHonoursEventGroup) {
+  const std::int64_t experiment_id = make_app_and_experiment();
+  io::synth::TrialSpec spec;
+  spec.nodes = 3;
+  spec.atomic_event_count = 2;
+  const std::int64_t trial_id =
+      api.upload_trial(io::synth::generate_trial(spec), experiment_id);
+  DatabaseAPI::DataFilter filter;
+  filter.event_group = api.get_atomic_events(trial_id)[0].group;
+  EXPECT_EQ(api.get_atomic_data(trial_id, filter).size(), 6u);
+  filter.event_group = "no-such-group";
+  EXPECT_TRUE(api.get_atomic_data(trial_id, filter).empty());
 }
 
 TEST_F(ApiTest, SaveDerivedMetricAppendsToTrial) {
@@ -607,6 +661,106 @@ TEST(ApiTransactions, EachCommitJoinsGroupCommit) {
   if (telemetry::compiled_in()) {
     EXPECT_EQ(commits.value() - before, static_cast<std::uint64_t>(kCommits));
   }
+}
+
+// bootstrap_schema's tables pinned to the literal DDL it ran before the
+// profile tables' value columns were declared once and derived: every
+// table keeps its columns (name, type, NOT NULL, PK, default, order),
+// foreign keys and indexes, so archives written under either open
+// unchanged.
+TEST(SchemaPin, BootstrapMatchesTheLiteralSchema) {
+  static const char* kLiteralDdl[] = {
+      "CREATE TABLE application (id INTEGER PRIMARY KEY, name TEXT NOT NULL,"
+      " version TEXT, description TEXT, language TEXT)",
+      "CREATE TABLE experiment (id INTEGER PRIMARY KEY,"
+      " application INTEGER NOT NULL, name TEXT NOT NULL, system_info TEXT,"
+      " compiler_info TEXT, configuration_info TEXT,"
+      " FOREIGN KEY (application) REFERENCES application (id))",
+      "CREATE TABLE trial (id INTEGER PRIMARY KEY, experiment INTEGER NOT NULL,"
+      " name TEXT NOT NULL, date TEXT, problem_definition TEXT,"
+      " node_count INTEGER, contexts_per_node INTEGER,"
+      " threads_per_context INTEGER,"
+      " FOREIGN KEY (experiment) REFERENCES experiment (id))",
+      "CREATE TABLE metric (id INTEGER PRIMARY KEY, trial INTEGER NOT NULL,"
+      " name TEXT NOT NULL, derived INTEGER NOT NULL DEFAULT 0,"
+      " FOREIGN KEY (trial) REFERENCES trial (id))",
+      "CREATE TABLE interval_event (id INTEGER PRIMARY KEY,"
+      " trial INTEGER NOT NULL, name TEXT NOT NULL, group_name TEXT,"
+      " FOREIGN KEY (trial) REFERENCES trial (id))",
+      "CREATE TABLE interval_location_profile ("
+      " interval_event INTEGER NOT NULL, node INTEGER NOT NULL,"
+      " context INTEGER NOT NULL, thread INTEGER NOT NULL,"
+      " metric INTEGER NOT NULL, inclusive_percentage REAL, inclusive REAL,"
+      " exclusive_percentage REAL, exclusive REAL, inclusive_per_call REAL,"
+      " num_calls REAL, num_subrs REAL,"
+      " FOREIGN KEY (interval_event) REFERENCES interval_event (id),"
+      " FOREIGN KEY (metric) REFERENCES metric (id))",
+      "CREATE TABLE interval_total_summary (interval_event INTEGER NOT NULL,"
+      " metric INTEGER NOT NULL, inclusive_percentage REAL, inclusive REAL,"
+      " exclusive_percentage REAL, exclusive REAL, inclusive_per_call REAL,"
+      " num_calls REAL, num_subrs REAL,"
+      " FOREIGN KEY (interval_event) REFERENCES interval_event (id),"
+      " FOREIGN KEY (metric) REFERENCES metric (id))",
+      "CREATE TABLE interval_mean_summary (interval_event INTEGER NOT NULL,"
+      " metric INTEGER NOT NULL, inclusive_percentage REAL, inclusive REAL,"
+      " exclusive_percentage REAL, exclusive REAL, inclusive_per_call REAL,"
+      " num_calls REAL, num_subrs REAL,"
+      " FOREIGN KEY (interval_event) REFERENCES interval_event (id),"
+      " FOREIGN KEY (metric) REFERENCES metric (id))",
+      "CREATE TABLE atomic_event (id INTEGER PRIMARY KEY,"
+      " trial INTEGER NOT NULL, name TEXT NOT NULL, group_name TEXT,"
+      " FOREIGN KEY (trial) REFERENCES trial (id))",
+      "CREATE TABLE atomic_location_profile (atomic_event INTEGER NOT NULL,"
+      " node INTEGER NOT NULL, context INTEGER NOT NULL,"
+      " thread INTEGER NOT NULL, sample_count REAL, maximum_value REAL,"
+      " minimum_value REAL, mean_value REAL, standard_deviation REAL,"
+      " FOREIGN KEY (atomic_event) REFERENCES atomic_event (id))",
+      "CREATE TABLE analysis_result (id INTEGER PRIMARY KEY,"
+      " trial INTEGER NOT NULL, name TEXT NOT NULL, kind TEXT NOT NULL,"
+      " content TEXT, FOREIGN KEY (trial) REFERENCES trial (id))",
+      "CREATE INDEX idx_ilp_node ON interval_location_profile (node)",
+  };
+  sqldb::Connection literal;
+  for (const char* sql : kLiteralDdl) literal.execute_update(sql);
+  sqldb::Connection derived;
+  bootstrap_schema(derived);
+
+  EXPECT_EQ(derived.get_meta_data().get_tables(),
+            literal.get_meta_data().get_tables());
+  for (const char* name :
+       {"application", "experiment", "trial", "metric", "interval_event",
+        "interval_location_profile", "interval_total_summary",
+        "interval_mean_summary", "atomic_event", "atomic_location_profile",
+        "analysis_result"}) {
+    SCOPED_TRACE(name);
+    const sqldb::Table& want = literal.database().table(name);
+    const sqldb::Table& got = derived.database().table(name);
+    const auto& want_columns = want.schema().columns();
+    const auto& got_columns = got.schema().columns();
+    ASSERT_EQ(got_columns.size(), want_columns.size());
+    for (std::size_t c = 0; c < want_columns.size(); ++c) {
+      SCOPED_TRACE(want_columns[c].name);
+      EXPECT_EQ(got_columns[c].name, want_columns[c].name);
+      EXPECT_EQ(got_columns[c].type, want_columns[c].type);
+      EXPECT_EQ(got_columns[c].not_null, want_columns[c].not_null);
+      EXPECT_EQ(got_columns[c].primary_key, want_columns[c].primary_key);
+      EXPECT_EQ(got_columns[c].auto_increment, want_columns[c].auto_increment);
+      EXPECT_EQ(got_columns[c].default_value.to_string(),
+                want_columns[c].default_value.to_string());
+      EXPECT_EQ(got.has_index(c), want.has_index(c));
+      EXPECT_EQ(got.has_unique_index(c), want.has_unique_index(c));
+    }
+    const auto& want_fks = want.schema().foreign_keys();
+    const auto& got_fks = got.schema().foreign_keys();
+    ASSERT_EQ(got_fks.size(), want_fks.size());
+    for (std::size_t f = 0; f < want_fks.size(); ++f) {
+      EXPECT_EQ(got_fks[f].column, want_fks[f].column);
+      EXPECT_EQ(got_fks[f].parent_table, want_fks[f].parent_table);
+      EXPECT_EQ(got_fks[f].parent_column, want_fks[f].parent_column);
+    }
+  }
+  // idx_ilp_node: the secondary index on interval_location_profile.node.
+  EXPECT_TRUE(derived.database().table("interval_location_profile").has_index(1));
 }
 
 }  // namespace

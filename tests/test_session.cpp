@@ -199,3 +199,24 @@ TEST(GroupFilter, ScopesBothSessionKinds) {
   db.clear_group();
   EXPECT_EQ(db.get_interval_data().size(), data.interval_point_count());
 }
+
+TEST(GroupFilter, ScopesAtomicDataInBothSessionKinds) {
+  io::synth::TrialSpec spec;
+  spec.nodes = 2;
+  spec.atomic_event_count = 3;
+  auto data = io::synth::generate_trial(spec);
+  const std::string group = data.atomic_events()[0].group;
+
+  FileDataSession files;
+  files.add_trial(data);
+  files.set_trial(1);
+  DatabaseSession db;
+  db.save_trial(data, "a", "e");
+  for (DataSession* session : {static_cast<DataSession*>(&files),
+                               static_cast<DataSession*>(&db)}) {
+    session->set_group(group);
+    EXPECT_EQ(session->get_atomic_data().size(), data.atomic_point_count());
+    session->set_group("no-such-group");
+    EXPECT_TRUE(session->get_atomic_data().empty());
+  }
+}

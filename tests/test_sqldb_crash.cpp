@@ -465,9 +465,10 @@ TEST_F(CrashRecovery, CrashMidGroupFsyncRecoversEveryAcknowledgedCommit) {
   ASSERT_GE(pid, 0);
   if (pid == 0) {
     u::set_log_level(u::LogLevel::kOff);
-    // A real accumulation window, so leader rounds genuinely cover
-    // several followers' commits when the crash hits.
-    ::setenv("PERFDMF_GROUP_COMMIT_MAX_WAIT_US", "200", 1);
+    // Every fsync takes at least 1 ms, so commits queue up behind the
+    // leader and its rounds genuinely cover several followers' commits
+    // when the crash hits.
+    fp::enable_every("wal.sync", perfdmf::util::FailAction::kDelay, 1, 1);
     // The third leader round dies between lock release and fsync.
     fp::enable("wal.group_sync", perfdmf::util::FailAction::kAbort, 3, 0);
 
