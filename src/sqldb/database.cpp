@@ -2,16 +2,15 @@
 
 #include <cerrno>
 #include <chrono>
-#include <sstream>
 #include <thread>
 #include <unordered_set>
 
+#include "sqldb/codec.h"
 #include "sqldb/parser.h"
 #include "sqldb/statement_context.h"
 #include "sqldb/system_tables.h"
 #include "sqldb/wal.h"
 #include "telemetry/metrics.h"
-#include "util/crc32.h"
 #include "util/error.h"
 #include "util/failpoint.h"
 #include "util/file.h"
@@ -280,8 +279,8 @@ Database::Database(const std::filesystem::path& directory,
   }
 
   // Load the newest snapshot; fall back to the previous one when the
-  // newest is corrupt or missing-with-prev-present (crash between the
-  // two checkpoint renames).
+  // newest is unusable, or missing with a previous one present (a crash
+  // between the two checkpoint renames).
   std::uint64_t watermark = 0;
   const fs::path snapshot = directory / kSnapshotFile;
   const fs::path previous = directory / kSnapshotPrev;
@@ -292,18 +291,16 @@ Database::Database(const std::filesystem::path& directory,
       report_.snapshot_error = e.what();
       clear_catalog();  // a partial load must not leak into the fallback
       if (!fs::exists(previous)) throw;
-      watermark = load_snapshot(previous);
-      report_.used_previous_snapshot = true;
-      util::log_warn() << "snapshot " << snapshot.string()
-                       << " is corrupt (" << report_.snapshot_error
-                       << "); recovered from " << previous.string();
     }
   } else if (fs::exists(previous)) {
+    report_.snapshot_error = "newest snapshot missing (crash mid-checkpoint)";
+  }
+  if (!report_.snapshot_error.empty()) {
     watermark = load_snapshot(previous);
     report_.used_previous_snapshot = true;
-    report_.snapshot_error = "newest snapshot missing (crash mid-checkpoint)";
-    util::log_warn() << "snapshot " << snapshot.string()
-                     << " missing; recovered from " << previous.string();
+    util::log_warn() << "snapshot " << snapshot.string() << " unusable ("
+                     << report_.snapshot_error << "); recovered from "
+                     << previous.string();
   }
 
   wal_ = std::make_unique<Wal>(directory / kWalFile, options.sync);
@@ -938,7 +935,7 @@ void Database::checkpoint() {
         //    fsync it: a crash from here on can at worst leave a dead
         //    temp file.
         util::failpoint::evaluate("snapshot.write");
-        util::write_file_durable(tmp, render_snapshot(wal_->last_seq()));
+        util::write_file_durable(tmp, encode_snapshot(*this, wal_->last_seq()));
 
         // 2. Rotate the live snapshot to .prev (recovery's fallback),
         //    then install the new one. Both renames are atomic; the
@@ -983,193 +980,27 @@ void Database::checkpoint() {
                         current_trace_parent());
 }
 
-std::string Database::render_snapshot(std::uint64_t watermark) const {
-  // Text format, mirroring the WAL value encoding:
-  //   TABLE <name>\n COLS <n>\n per-column lines\n FKS <n>\n ... ROWS <n>\n
-  // then one "INDEX <table> <column> <0|1>" line per index, sealed by a
-  // trailing "SUM <crc32-hex8>" line over everything above.
-  std::string out = "PERFDB SNAPSHOT 2\n";
-  out += "WALSEQ " + std::to_string(watermark) + "\n";
-  for (const auto& name : view_order_) {
-    // Views serialize as their defining statement, replayed on load.
-    const std::string& sql = views_.at(util::to_lower(name));
-    out += "VIEW " + name + " " + std::to_string(sql.size()) + "\n";
-    out += sql;
-    out += "\n";
-  }
-  for (const auto& name : table_order_) {
-    const Table& t = table(name);
-    const TableSchema& schema = t.schema();
-    out += "TABLE " + schema.name() + "\n";
-    out += "AUTO " + std::to_string(t.next_auto_increment()) + "\n";
-    out += "COLS " + std::to_string(schema.columns().size()) + "\n";
-    for (const auto& column : schema.columns()) {
-      out += "COL " + column.name + " " + value_type_name(column.type) + " " +
-             (column.not_null ? "1" : "0") + " " + (column.primary_key ? "1" : "0") +
-             " " + (column.auto_increment ? "1" : "0") + "\n";
-      out += encode_value(column.default_value);
-    }
-    out += "FKS " + std::to_string(schema.foreign_keys().size()) + "\n";
-    for (const auto& fk : schema.foreign_keys()) {
-      out += "FK " + fk.column + " " + fk.parent_table + " " + fk.parent_column + "\n";
-    }
-    out += "ROWS " + std::to_string(t.live_row_count()) + "\n";
-    t.scan([&](RowId, const Row& row) {
-      for (const auto& value : row) out += encode_value(value);
-    });
-  }
-  // Indexes follow every table, so the loader builds each once over rows
-  // in place. Table's own PK/FK indexes are listed too (re-creating is a no-op).
-  for (const auto& name : table_order_) {
-    const Table& t = table(name);
-    const auto& columns = t.schema().columns();
-    for (std::size_t c = 0; c < columns.size(); ++c) {
-      if (!t.has_index(c)) continue;
-      out += "INDEX " + name + " " + columns[c].name +
-             (t.has_unique_index(c) ? " 1\n" : " 0\n");
-    }
-  }
-  char sum[32];
-  std::snprintf(sum, sizeof sum, "SUM %08x\n", util::crc32(out));
-  out += sum;
-  return out;
-}
-
 std::uint64_t Database::load_snapshot(const std::filesystem::path& path) {
   util::failpoint::evaluate("snapshot.load");
-  const std::string full = util::read_file(path);
-  std::uint64_t watermark = 0;
-
-  // Verify the checksum trailer first: any bit flip in the body is
-  // reported as checksum damage rather than a confusing parse error.
-  // "SUM " + 8 hex digits + "\n" = 13 bytes.
-  std::string text;
-  bool legacy = util::starts_with(full, "PERFDB SNAPSHOT 1\n");
-  if (legacy) {
-    text = full;  // v1 predates the trailer; parse as-is
-  } else {
-    constexpr std::size_t kTrailer = 13;
-    if (full.size() < kTrailer ||
-        full.compare(full.size() - kTrailer, 4, "SUM ") != 0 ||
-        full.back() != '\n') {
-      throw ParseError("snapshot missing checksum trailer");
-    }
-    const std::string_view body(full.data(), full.size() - kTrailer);
-    char expect[32];
-    std::snprintf(expect, sizeof expect, "SUM %08x\n", util::crc32(body));
-    if (full.compare(full.size() - kTrailer, kTrailer, expect) != 0) {
-      throw ParseError("snapshot checksum mismatch: " + path.string());
-    }
-    text.assign(body);
-  }
-
-  std::size_t pos = 0;
-  auto next_line = [&]() -> std::string {
-    const std::size_t nl = text.find('\n', pos);
-    if (nl == std::string::npos) throw ParseError("snapshot truncated");
-    std::string line = text.substr(pos, nl - pos);
-    pos = nl + 1;
-    return line;
-  };
-  if (legacy) {
-    next_line();  // header already validated
-  } else {
-    if (next_line() != "PERFDB SNAPSHOT 2") {
-      throw ParseError("unrecognized snapshot header");
-    }
-    const std::string seq_line = next_line();
-    if (!util::starts_with(seq_line, "WALSEQ ")) {
-      throw ParseError("expected WALSEQ in snapshot");
-    }
-    watermark = static_cast<std::uint64_t>(
-        util::parse_int_or_throw(seq_line.substr(7), "snapshot walseq"));
-  }
-  while (pos < text.size()) {
-    std::string header = next_line();
-    if (util::starts_with(header, "VIEW ")) {
-      auto view_parts = util::split_ws_limit(header, 3);
-      if (view_parts.size() != 3) throw ParseError("bad VIEW header in snapshot");
-      const std::size_t length = static_cast<std::size_t>(
-          util::parse_int_or_throw(view_parts[2], "snapshot view length"));
-      if (pos + length + 1 > text.size()) {
-        throw ParseError("snapshot truncated in view body");
+  const std::string file = util::read_file(path);
+  try {
+    SnapshotImage image = decode_snapshot(file);
+    for (const auto& view : image.views) run_create_view(view);
+    for (auto& t : image.tables) {
+      const std::string name = t->schema().name();
+      if (!tables_.emplace(util::to_lower(name), std::move(t)).second) {
+        throw DbError("duplicate table " + name);
       }
-      views_.emplace(util::to_lower(view_parts[1]), text.substr(pos, length));
-      view_order_.push_back(view_parts[1]);
-      pos += length + 1;  // skip trailing newline
-      continue;
+      table_order_.push_back(name);
     }
-    if (util::starts_with(header, "INDEX ")) {
-      const auto fields = util::split_ws(header);
-      const auto it = fields.size() == 4 ? tables_.find(util::to_lower(fields[1]))
-                                         : tables_.end();
-      const auto column = it == tables_.end()
-                              ? std::nullopt
-                              : it->second->schema().find_column(fields[2]);
-      if (!column) throw ParseError("bad INDEX line in snapshot");
-      it->second->create_index(*column, fields[3] == "1");
-      continue;
-    }
-    auto parts = util::split_ws_limit(header, 2);
-    if (parts.size() != 2 || parts[0] != "TABLE") {
-      throw ParseError("expected TABLE header in snapshot");
-    }
-    TableSchema schema(parts[1]);
-    std::string auto_line = next_line();
-    if (!util::starts_with(auto_line, "AUTO ")) throw ParseError("expected AUTO");
-    const std::int64_t next_auto =
-        util::parse_int_or_throw(auto_line.substr(5), "snapshot auto");
-    std::string cols_line = next_line();
-    if (!util::starts_with(cols_line, "COLS ")) throw ParseError("expected COLS");
-    const std::size_t n_cols = static_cast<std::size_t>(
-        util::parse_int_or_throw(cols_line.substr(5), "snapshot cols"));
-    for (std::size_t c = 0; c < n_cols; ++c) {
-      auto col_parts = util::split_ws(next_line());
-      if (col_parts.size() != 6 || col_parts[0] != "COL") {
-        throw ParseError("bad COL line in snapshot");
-      }
-      ColumnDef column;
-      column.name = col_parts[1];
-      const std::string& type = col_parts[2];
-      if (type == "INTEGER") column.type = ValueType::kInt;
-      else if (type == "REAL") column.type = ValueType::kReal;
-      else if (type == "TEXT") column.type = ValueType::kText;
-      else column.type = ValueType::kNull;
-      column.not_null = col_parts[3] == "1";
-      column.primary_key = col_parts[4] == "1";
-      column.auto_increment = col_parts[5] == "1";
-      column.default_value = decode_value(text, pos);
-      schema.add_column(std::move(column));
-    }
-    std::string fks_line = next_line();
-    if (!util::starts_with(fks_line, "FKS ")) throw ParseError("expected FKS");
-    const std::size_t n_fks = static_cast<std::size_t>(
-        util::parse_int_or_throw(fks_line.substr(4), "snapshot fks"));
-    for (std::size_t f = 0; f < n_fks; ++f) {
-      auto fk_parts = util::split_ws(next_line());
-      if (fk_parts.size() != 4 || fk_parts[0] != "FK") {
-        throw ParseError("bad FK line in snapshot");
-      }
-      schema.add_foreign_key({fk_parts[1], fk_parts[2], fk_parts[3]});
-    }
-    std::string rows_line = next_line();
-    if (!util::starts_with(rows_line, "ROWS ")) throw ParseError("expected ROWS");
-    const std::size_t n_rows = static_cast<std::size_t>(
-        util::parse_int_or_throw(rows_line.substr(5), "snapshot rows"));
-
-    auto t = std::make_unique<Table>(schema);
-    const std::size_t width = schema.columns().size();
-    for (std::size_t r = 0; r < n_rows; ++r) {
-      Row row;
-      row.reserve(width);
-      for (std::size_t c = 0; c < width; ++c) row.push_back(decode_value(text, pos));
-      t->insert(std::move(row));
-    }
-    t->bump_auto_increment(next_auto);
-    tables_.emplace(util::to_lower(schema.name()), std::move(t));
-    table_order_.push_back(schema.name());
+    for (const auto& index : image.indexes) run_create_index(index);
+    return image.watermark;
+  } catch (const DbError& e) {
+    // A body that passed its checksum but does not describe a valid
+    // catalog is as unusable as a damaged one: report it the same way,
+    // so the caller falls back to the previous snapshot.
+    throw ParseError(std::string("invalid snapshot body: ") + e.what());
   }
-  return watermark;
 }
 
 void Database::clear_catalog() {

@@ -257,13 +257,11 @@ class Database {
   void abort_stamp(CommitStamp* stamp);
   void clear_writer();
 
-  /// Serialize the full store. `watermark` is the highest WAL sequence
-  /// number the snapshot subsumes; recovery skips replaying records at
-  /// or below it. A trailing "SUM <crc32>" line seals the content.
-  std::string render_snapshot(std::uint64_t watermark) const;
-  /// Load a snapshot; returns its watermark. Throws ParseError on a bad
-  /// checksum or frame; the catalog may be partially populated on throw
-  /// (the constructor clears it before falling back).
+  /// Load a snapshot (sqldb/codec.h) into the empty catalog; returns its
+  /// watermark, the highest WAL sequence number it subsumes. Throws
+  /// ParseError on a bad checksum or frame, and on a body that does not
+  /// describe a valid catalog; the catalog may be partially populated on
+  /// throw (the constructor clears it before falling back).
   std::uint64_t load_snapshot(const std::filesystem::path& path);
   void clear_catalog();
 

@@ -53,7 +53,7 @@ struct OpRecorder {
   void record(std::string label, std::chrono::steady_clock::time_point start,
               std::uint64_t rows_in, std::uint64_t rows_out,
               std::uint64_t entries = 0, std::uint64_t mem_bytes = 0,
-              bool degraded = false) {
+              bool degraded = false, std::uint64_t rows_read = 0) {
     if (!active()) return;
     const auto end = std::chrono::steady_clock::now();
     if (trace_id != 0) {
@@ -70,6 +70,7 @@ struct OpRecorder {
     op.entries = entries;
     op.mem_bytes = mem_bytes;
     op.degraded = degraded;
+    op.rows_read = rows_read;
     explain->ops.push_back(std::move(op));
   }
 };
@@ -465,7 +466,9 @@ Table& resolve_table(Database& db, const std::string& name, WorkingSet& ws) {
     schema.add_column(std::move(def));
   }
   auto materialized = std::make_unique<Table>(std::move(schema));
-  for (auto& row : data.rows) materialized->insert(std::move(row));
+  for (auto& row : data.rows) {
+    materialized->insert(std::move(row), nullptr, ReadView::latest());
+  }
   ws.owned_tables.push_back(std::move(materialized));
   return *ws.owned_tables.back();
 }
@@ -577,6 +580,7 @@ WorkingSet build_working_set(Database& db, SelectStatement& stmt,
     std::uint64_t join_entries = 0;   // hash-build entries (0 on fallback)
     std::uint64_t join_mem = 0;       // peak bytes charged by the build
     bool join_degraded = false;       // hash build abandoned under pressure
+    std::uint64_t join_read = 0;      // rows read from the joined table
     Table& right = resolve_table(db, join.table.table, ws);
     const std::string right_alias = util::to_lower(join.table.alias);
     std::vector<BoundColumn> new_layout = ws.layout;
@@ -662,6 +666,7 @@ WorkingSet build_working_set(Database& db, SelectStatement& stmt,
           std::vector<std::vector<Row>> matches(ws.rows.size());
           right.scan(view, [&](RowId, const Row& right_row) {
             if (ctx != nullptr) ctx->poll();
+            ++join_read;
             const Value& key = right_row[right_key];
             if (key.is_null()) return;
             auto it = table.find(key);
@@ -692,6 +697,7 @@ WorkingSet build_working_set(Database& db, SelectStatement& stmt,
         right.scan(view, [&](RowId, const Row& right_row) {
           if (degraded) return;
           if (ctx != nullptr) ctx->poll();
+          ++join_read;
           const Value& key = right_row[right_key];
           if (key.is_null()) return;
           if (!mem.charge(kHashEntryBytes)) {
@@ -760,12 +766,14 @@ WorkingSet build_working_set(Database& db, SelectStatement& stmt,
           auto hits = right.index_equal(right_key, left_row[left_key]);
           for (RowId id : *hits) {
             if (const Row* right_row = right.fetch(id, view)) {
+              ++join_read;
               try_pair(*right_row);
             }
           }
         } else {
           right.scan(view, [&](RowId, const Row& right_row) {
             if (ctx != nullptr) ctx->poll();
+            ++join_read;
             try_pair(right_row);
           });
         }
@@ -779,7 +787,7 @@ WorkingSet build_working_set(Database& db, SelectStatement& stmt,
     ws.rows = std::move(joined);
     ws.layout = std::move(new_layout);
     rec.record("join " + right_alias, join_start, join_rows_in, ws.rows.size(),
-               join_entries, join_mem, join_degraded);
+               join_entries, join_mem, join_degraded, join_read);
   }
 
   // Full WHERE over the working rows: post-join re-evaluation (pushed
@@ -1180,8 +1188,9 @@ ResultSetData execute_explain(Database& db, SelectStatement& stmt,
     for (const auto& op : info.ops) {
       std::string line = "analyze " + op.label +
                          ": rows_in=" + std::to_string(op.rows_in) +
-                         " rows_out=" + std::to_string(op.rows_out) +
-                         " time_us=" + std::to_string(op.micros);
+                         " rows_out=" + std::to_string(op.rows_out);
+      if (op.rows_read != 0) line += " rows_read=" + std::to_string(op.rows_read);
+      line += " time_us=" + std::to_string(op.micros);
       if (op.entries != 0) line += " entries=" + std::to_string(op.entries);
       if (op.mem_bytes != 0) {
         line += " mem_bytes=" + std::to_string(op.mem_bytes);

@@ -52,6 +52,7 @@ struct OperatorStats {
   std::uint64_t entries = 0;    // hash-table entries (join build, group-by)
   std::uint64_t mem_bytes = 0;  // bytes charged against the memory budget
   bool degraded = false;        // operator fell back under memory pressure
+  std::uint64_t rows_read = 0;  // joins: rows read from the joined table
 };
 
 /// Plan description collected while executing under EXPLAIN: one line per

@@ -128,7 +128,7 @@ std::unique_ptr<Table> materialize_metrics() {
     row.push_back(histogram ? Value(s.p50) : Value::null());
     row.push_back(histogram ? Value(s.p95) : Value::null());
     row.push_back(histogram ? Value(s.p99) : Value::null());
-    table->insert(std::move(row));
+    table->insert(std::move(row), nullptr, ReadView::latest());
   }
   return table;
 }
@@ -150,7 +150,7 @@ std::unique_ptr<Table> materialize_slow_queries() {
                           Phase::kLockWait, Phase::kExecute, Phase::kFsync}) {
       row.emplace_back(t.phase_ms[static_cast<std::size_t>(p)]);
     }
-    table->insert(std::move(row));
+    table->insert(std::move(row), nullptr, ReadView::latest());
   }
   return table;
 }
@@ -171,7 +171,7 @@ std::unique_ptr<Table> materialize_statements(Database* db) {
                       : Value(s.deadline_remaining_ms));
     row.emplace_back(static_cast<std::int64_t>(s.rows));
     row.emplace_back(static_cast<std::int64_t>(s.cancel_requested ? 1 : 0));
-    table->insert(std::move(row));
+    table->insert(std::move(row), nullptr, ReadView::latest());
   }
   return table;
 }
@@ -216,7 +216,7 @@ std::unique_ptr<Table> materialize_transactions(Database* db) {
   row.emplace_back(started > 0 && now_ms > started
                        ? static_cast<double>(now_ms - started)
                        : 0.0);
-  table->insert(std::move(row));
+  table->insert(std::move(row), nullptr, ReadView::latest());
   return table;
 }
 
@@ -232,7 +232,7 @@ std::unique_ptr<Table> materialize_locks(Database* db) {
     row.emplace_back(static_cast<std::int64_t>(stats.writer_holders));
     row.emplace_back(static_cast<std::int64_t>(stats.writer_waiters));
     row.emplace_back(static_cast<std::int64_t>(stats.writer_wait_micros));
-    table->insert(std::move(row));
+    table->insert(std::move(row), nullptr, ReadView::latest());
   }
   {
     Row row;
@@ -243,7 +243,7 @@ std::unique_ptr<Table> materialize_locks(Database* db) {
     row.emplace_back(static_cast<std::int64_t>(stats.drain_exclusive_holders));
     row.emplace_back(static_cast<std::int64_t>(stats.drain_waiters));
     row.emplace_back(static_cast<std::int64_t>(stats.drain_wait_micros));
-    table->insert(std::move(row));
+    table->insert(std::move(row), nullptr, ReadView::latest());
   }
   return table;
 }
@@ -277,7 +277,7 @@ std::unique_ptr<Table> materialize_wal(Database* db) {
   }
   row.emplace_back(static_cast<std::int64_t>(db->read_only() ? 1 : 0));
   row.emplace_back(db->read_only_reason());
-  table->insert(std::move(row));
+  table->insert(std::move(row), nullptr, ReadView::latest());
   return table;
 }
 

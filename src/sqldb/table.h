@@ -16,10 +16,13 @@
 // the sets exactly.
 //
 // Thread contract: concurrent calls are safe between any number of readers
-// (fetch/scan/index_* with a ReadView) and ONE writer (insert/update/erase
-// with a stamp) — the engine's writer mutex provides the single-writer
-// guarantee. create_index/add_column/drop_column/vacuum and the stamp-less
-// bulk-load insert(Row) require full external exclusion.
+// (fetch/scan/index_* with a ReadView) and ONE writer (insert/update/erase)
+// — the engine's writer mutex provides the single-writer guarantee.
+// create_index/add_column/drop_column/vacuum require full external
+// exclusion. A table no other thread can reach yet (snapshot load,
+// system-table and view materialisation) is filled through the same
+// insert with a null stamp, which commits the row at timestamp 0, visible
+// to every view; ReadView::latest() reads the latest committed versions.
 #pragma once
 
 #include <cstdint>
@@ -104,19 +107,6 @@ class Table {
         if (const RowVersion* v = resolve_visible(head, view)) fn(id, v->data);
       }
     }
-  }
-
-  // --- Stamp-less bulk load (requires external exclusion) --------------
-  //
-  // Snapshot load, system-table and view materialisation. Rows are
-  // committed at timestamp 0 (visible to every view); scan(fn) reads the
-  // latest committed versions.
-
-  RowId insert(Row row) { return insert(std::move(row), nullptr, ReadView::latest()); }
-
-  template <typename Fn>
-  void scan(Fn&& fn) const {
-    scan(ReadView::latest(), std::forward<Fn>(fn));
   }
 
   // --- Indexes ----------------------------------------------------------

@@ -35,7 +35,7 @@ class Value {
   double as_real() const;
   const std::string& as_text() const;
 
-  /// Render for display and for the WAL text encoding.
+  /// Render for display (the on-disk encoding is sqldb/codec.h's).
   std::string to_string() const;
 
   /// Total ordering used by indexes and ORDER BY: NULL < numbers < text;

@@ -1,20 +1,14 @@
-// Write-ahead log and value (de)serialization for the persistence layer.
+// Write-ahead log for the persistence layer.
 //
 // The WAL is logical: each committed DML/DDL statement is appended with
 // its bound parameters, and recovery re-executes them on top of the last
 // snapshot. Every record carries a monotonic sequence number and a CRC32
-// over its payload:
-//
-//   R <seq> <crc32-hex8> <payload-len>\n<payload>
-//
-// where <payload> holds length-prefixed statement frames
-// "S <sql-len>\n<sql>\nP <count>\n" + encoded params, terminated by "E\n",
-// so SQL text and string parameters may contain any bytes, including
-// newlines. A record of one statement is that one frame; a record of
-// several (a transaction commit) is a batch "B <count>\n" + frames + "E\n"
-// — one record, one CRC, one sequence number, so a torn commit write is
-// discarded wholly and a transaction is never half-replayed. Replay reads
-// both shapes.
+// over its payload; the bytes of records, frames and values are the
+// codec's (sqldb/codec.h), which this class only writes and replays. A
+// record of one statement is that one frame; a record of several (a
+// transaction commit) is one batch — one record, one CRC, one sequence
+// number, so a torn commit write is discarded wholly and a transaction is
+// never half-replayed. Replay reads both shapes.
 //
 // Recovery distinguishes two failure shapes:
 //  - torn tail: the final record is incomplete (header has no newline, or
@@ -51,19 +45,10 @@
 #include <string>
 #include <vector>
 
+#include "sqldb/codec.h"
 #include "sqldb/durability.h"
-#include "sqldb/expr_eval.h"
-#include "sqldb/value.h"
 
 namespace perfdmf::sqldb {
-
-/// Encode a value on one line: "N", "I <int>", "R <%.17g>", "T <len> <bytes>".
-std::string encode_value(const Value& v);
-/// Decode from `text` starting at `pos`; advances pos past the record.
-Value decode_value(const std::string& text, std::size_t& pos);
-
-/// One statement and its bound parameters, as the WAL records it.
-using LoggedStatement = std::pair<std::string, Params>;
 
 class Wal {
  public:

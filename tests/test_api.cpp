@@ -640,6 +640,55 @@ TEST(ApiAggregate, RowsExaminedDoNotGrowWithTheArchive) {
   EXPECT_EQ(widest_input(20), one);
 }
 
+// EXPLAIN ANALYZE shows what a join reads from its joined table: the
+// aggregate's hash join reads every event row of the archive, so
+// rows_read grows with the archive while the join's rows_in does not.
+TEST(ApiAggregate, JoinReportsTheRowsItReadsFromTheJoinedTable) {
+  io::synth::TrialSpec spec;
+  spec.nodes = 8;
+  spec.event_count = 5;
+  const auto data = io::synth::generate_trial(spec);
+  struct JoinStats {
+    std::uint64_t rows_in = 0;
+    std::uint64_t rows_read = 0;
+  };
+  auto join_stats = [&](int trials) {
+    Archive archive(std::make_shared<sqldb::Connection>());
+    std::int64_t trial_id = 0;
+    for (int t = 0; t < trials; ++t) {
+      trial_id = archive.api.upload_trial(data, archive.experiment_id);
+    }
+    const std::int64_t event_id =
+        archive.api.get_interval_events(trial_id)[1].id;
+    auto plan = archive.connection->execute(
+        "EXPLAIN ANALYZE SELECT COUNT(p.exclusive)"
+        " FROM interval_location_profile p JOIN interval_event e"
+        " ON e.id = p.interval_event"
+        " WHERE p.interval_event = ? AND e.trial = ?",
+        {sqldb::Value(event_id), sqldb::Value(trial_id)});
+    JoinStats stats;
+    while (plan.next()) {
+      const std::string line = plan.get_string(1);
+      if (line.rfind("analyze join e:", 0) != 0) continue;
+      auto field = [&](const std::string& key) -> std::uint64_t {
+        const auto at = line.find(" " + key + "=");
+        return at == std::string::npos
+                   ? 0
+                   : std::stoull(line.substr(at + key.size() + 2));
+      };
+      stats.rows_in = field("rows_in");
+      stats.rows_read = field("rows_read");
+    }
+    return stats;
+  };
+  const JoinStats one = join_stats(1);
+  const JoinStats twenty = join_stats(20);
+  EXPECT_GT(one.rows_in, 0u);
+  EXPECT_EQ(twenty.rows_in, one.rows_in);
+  EXPECT_EQ(one.rows_read, 5u);  // the one trial's events
+  EXPECT_EQ(twenty.rows_read, 20 * one.rows_read);
+}
+
 // API transactions run the SQL COMMIT path, so each commit joins the
 // group-commit queue instead of fsyncing inline under the writer mutex.
 TEST(ApiTransactions, EachCommitJoinsGroupCommit) {

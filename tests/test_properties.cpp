@@ -286,7 +286,8 @@ TEST_P(ValueEncodingProperty, RandomValuesRoundTrip) {
         v = sqldb::Value(std::move(s));
       }
     }
-    const std::string encoded = sqldb::encode_value(v);
+    std::string encoded;
+    sqldb::encode_value(encoded, v);
     std::size_t pos = 0;
     const sqldb::Value decoded = sqldb::decode_value(encoded, pos);
     EXPECT_EQ(pos, encoded.size());

@@ -969,7 +969,7 @@ TEST(TableIndex, OneKeyBulkLoadStaysLinearAndKeepsTheEntryContract) {
     // vacuum, ranges deduplicated by slot.
     Table t = make_keyed_table();
     t.create_index(0, /*unique=*/false);
-    const RowId a = t.insert(Row{int_value(1), int_value(0)});
+    const RowId a = t.insert(Row{int_value(1), int_value(0)}, nullptr, latest);
     t.update(a, Row{int_value(1), int_value(1)}, nullptr, latest);
     EXPECT_EQ(*t.index_equal(0, int_value(1)), std::vector<RowId>{a});
     t.update(a, Row{int_value(2), int_value(2)}, nullptr, latest);
@@ -1000,7 +1000,7 @@ TEST(TableIndex, OneKeyBulkLoadStaysLinearAndKeepsTheEntryContract) {
   double small_per_row = 0.0;
   const double start = thread_cpu_seconds();
   for (std::size_t i = 1; i <= kLarge; ++i) {
-    t.insert(Row{key, int_value(static_cast<std::int64_t>(i))});
+    t.insert(Row{key, int_value(static_cast<std::int64_t>(i))}, nullptr, latest);
     if (i % 1000 != 0) continue;
     const double spent = thread_cpu_seconds() - start;
     if (i == kSmall) small_per_row = spent / kSmall;
