@@ -2,16 +2,13 @@
 # CI-style check: build and run the full test suite four times —
 # plain, with telemetry compiled out (-DPERFDMF_TELEMETRY=OFF), under
 # ThreadSanitizer, and under AddressSanitizer+UBSan — then run the
-# perfguard stage: the YCSB-style workload driver at quick scale, its
-# BENCH_workload.json loaded into sqldb and gated against the committed
-# baseline in bench/baselines/ (threshold PERFGUARD_THRESHOLD, default
-# 50% — generous on purpose: cross-invocation throughput spread on
-# shared/containerised CPU measures ~35% even best-of-3, so the gate
-# catches halvings, not jitter. Tighten via PERFGUARD_THRESHOLD on
-# quiet dedicated hardware). Before perfguard, the pipeline benchmark is
-# smoke-run: every workload at tiny scale, outputs verified. First of
-# all, the PERFDMF_* variables src/ reads are matched against README's
-# "Runtime configuration" table.
+# perfguard stage: every bench a bench/baselines/gated.txt rule names,
+# each run stored as a PerfDMF trial and gated against the median of the
+# recorded runs of its machine class in bench/baselines/<class>/ (a class
+# with none is reported UNGATED). Before perfguard, the pipeline benchmark
+# is smoke-run: every workload at tiny scale, outputs verified. First of
+# all, the PERFDMF_* variables src/ and bench/ read are matched against
+# README's "Runtime configuration" table.
 #
 # Usage:
 #   scripts/check.sh            # all four configurations + perfguard
@@ -20,11 +17,12 @@
 #                               # (-L parity), and telemetry
 #                               # (-L observability) suites
 #   scripts/check.sh knobs      # only the runtime-configuration
-#                               # inventory (README table vs src/)
+#                               # inventory (README table vs src/, bench/)
 #   scripts/check.sh perfguard  # only the perfguard stage
 #   scripts/check.sh perfguard --record-baseline
-#                               # re-record bench/baselines/ from a
-#                               # fresh run on this machine
+#                               # add a fresh run of every gated bench to
+#                               # bench/baselines/<this machine's class>/
+#                               # (run it 5 times for a full baseline)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -62,33 +60,30 @@ check_no_skips() {
   fi
 }
 
-# Quick-scale workload run + gate against the committed baseline. The
-# seed baseline was recorded with --record-baseline on a quiet machine;
-# on very different hardware, re-record it (perfguard fails loudly, not
-# silently, when the machine class changed).
+# Every bench a gated.txt rule names, at the scale a CI stage affords
+# (~1 min in all), then the gate; --record-baseline adds the runs to the
+# baseline of this machine's class instead.
 run_perfguard() {
-  local record="${1:-}"
-  echo "=== perfguard (workload driver + regression gate) ==="
+  echo "=== perfguard (gated benches + regression gate) ==="
   cmake -B build-check -S . >/dev/null
-  cmake --build build-check -j "$JOBS" --target bench_workload perfguard
-  (cd build-check && ./bench/bench_workload --quick)
-  if [ "$record" = "--record-baseline" ]; then
-    ./build-check/bench/perfguard --baseline-dir bench/baselines \
-      --record-baseline build-check/BENCH_workload.json
-  else
-    ./build-check/bench/perfguard --baseline-dir bench/baselines \
-      --threshold "${PERFGUARD_THRESHOLD:-50}" \
-      build-check/BENCH_workload.json
-  fi
+  cmake --build build-check -j "$JOBS" \
+    --target bench_workload bench_scale bench_query bench_sqldb perfguard
+  (cd build-check &&
+     ./bench/bench_workload --quick &&
+     ./bench/bench_scale --quick &&
+     ./bench/bench_query &&
+     ./bench/bench_sqldb --benchmark_filter=NONE)
+  ./build-check/bench/perfguard --baseline-dir bench/baselines "$@" \
+    build-check/BENCH_{workload,scale,query,sqldb}.json
 }
 
-# Knob inventory: every PERFDMF_* environment variable src/ reads
-# (through getenv or an env_* helper) has a row in README's "Runtime
-# configuration" table, and every row names a variable src/ reads.
+# Knob inventory: every PERFDMF_* environment variable src/ or bench/
+# reads (through getenv or an env_* helper) has a row in README's
+# "Runtime configuration" table, and every row names a variable read.
 check_knobs() {
   echo "=== runtime configuration inventory ==="
   local read documented missing stale
-  read="$(grep -rhoE '(getenv|env_[a-z_]+)\("PERFDMF_[A-Z0-9_]+"' src |
+  read="$(grep -rhoE '(getenv|env_[a-z_]+)\("PERFDMF_[A-Z0-9_]+"' src bench |
           grep -oE 'PERFDMF_[A-Z0-9_]+' | sort -u)"
   documented="$(sed -n '/^## Runtime configuration/,/^## /p' README.md |
                 grep -oE '^\| `PERFDMF_[A-Z0-9_]+`' |
@@ -96,18 +91,19 @@ check_knobs() {
   missing="$(comm -23 <(echo "$read") <(echo "$documented"))"
   stale="$(comm -13 <(echo "$read") <(echo "$documented"))"
   if [ -n "$missing" ]; then
-    echo "read in src/ but missing from README's Runtime configuration:" >&2
+    echo "read in src/ or bench/ but missing from README's Runtime configuration:" >&2
     echo "$missing" >&2
   fi
   if [ -n "$stale" ]; then
-    echo "in README's Runtime configuration but read nowhere in src/:" >&2
+    echo "in README's Runtime configuration but read nowhere in src/ or bench/:" >&2
     echo "$stale" >&2
   fi
   [ -z "$missing" ] && [ -z "$stale" ]
 }
 
 if [ "$MODE" = "perfguard" ]; then
-  run_perfguard "${2:-}"
+  shift
+  run_perfguard "$@"
   exit 0
 fi
 

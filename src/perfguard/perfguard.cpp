@@ -3,7 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <iterator>
+#include <memory>
+#include <optional>
 
+#include "analysis/comparison.h"
+#include "analysis/stats.h"
 #include "util/error.h"
 #include "util/file.h"
 #include "util/json.h"
@@ -15,7 +20,10 @@ namespace {
 /// Highest BENCH json layout this loader understands (bench/bench_json.h
 /// documents the versions). Older files load fine; a newer file means a
 /// newer emitter and the comparison could be silently wrong — refuse.
-constexpr std::int64_t kMaxSchemaVersion = 2;
+constexpr std::int64_t kMaxSchemaVersion = 3;
+
+/// The one metric every stored run's data points sit under.
+constexpr const char* kValueMetric = "value";
 
 /// Glob with a single '*' anywhere (start, middle, end): the text must
 /// carry the pattern's prefix and suffix around any gap. Multiple stars
@@ -30,6 +38,30 @@ bool matches_pattern(std::string_view pattern, std::string_view text) {
          text.substr(text.size() - suffix.size()) == suffix;
 }
 
+/// `run` as a one-thread trial: one interval event per metric key.
+profile::TrialData to_trial(const BenchRun& run) {
+  profile::TrialData trial;
+  trial.trial().name = run.git_sha + " " + run.timestamp;
+  trial.trial().fields = {{"date", run.timestamp},
+                          {"git_sha", run.git_sha},
+                          {"build_type", run.build_type}};
+  const std::size_t metric = trial.intern_metric(kValueMetric);
+  const std::size_t thread = trial.intern_thread({});
+  for (const auto& [name, value] : run.metrics) {
+    profile::IntervalDataPoint point;
+    point.inclusive = point.exclusive = value;
+    point.num_calls = 1;
+    trial.set_interval_data(trial.intern_event(name), thread, metric, point);
+  }
+  trial.infer_dimensions();
+  return trial;
+}
+
+std::string date_of(const profile::Trial& trial) {
+  const auto it = trial.fields.find("date");
+  return it == trial.fields.end() ? std::string() : it->second;
+}
+
 }  // namespace
 
 BenchRun parse_bench_json(std::string_view text) {
@@ -42,11 +74,13 @@ BenchRun parse_bench_json(std::string_view text) {
     throw ParseError("BENCH json: missing \"bench\" name");
   }
   run.bench = bench->as_string();
-  if (const auto* v = doc.find("git_sha"); v != nullptr && v->is_string()) {
-    run.git_sha = v->as_string();
-  }
-  if (const auto* v = doc.find("timestamp"); v != nullptr && v->is_string()) {
-    run.timestamp = v->as_string();
+  for (auto [key, field] : {std::pair{"machine_class", &run.machine_class},
+                             std::pair{"build_type", &run.build_type},
+                             std::pair{"git_sha", &run.git_sha},
+                             std::pair{"timestamp", &run.timestamp}}) {
+    if (const auto* v = doc.find(key); v != nullptr && v->is_string()) {
+      *field = v->as_string();
+    }
   }
   if (const auto* v = doc.find("schema_version"); v != nullptr) {
     run.schema_version = static_cast<std::int64_t>(v->as_number());
@@ -77,7 +111,7 @@ BenchRun load_bench_file(const std::filesystem::path& path) {
 }
 
 bool lower_is_better(std::string_view metric) {
-  for (std::string_view suffix : {"_ms", "_micros", "_us", "_ns"}) {
+  for (std::string_view suffix : {"_ms", "_micros", "_us", "_ns", "_errors"}) {
     if (metric.size() > suffix.size() &&
         metric.substr(metric.size() - suffix.size()) == suffix) {
       return true;
@@ -135,149 +169,106 @@ bool is_gated(const std::vector<GateRule>& rules, std::string_view bench,
   return false;
 }
 
-PerfDb::PerfDb() : connection_(std::make_shared<sqldb::Connection>()) {
-  ensure_schema();
-}
+PerfDb::PerfDb() : api_(std::make_shared<sqldb::Connection>()) {}
 
 PerfDb::PerfDb(const std::filesystem::path& directory)
-    : connection_(std::make_shared<sqldb::Connection>(directory)) {
-  ensure_schema();
-}
+    : api_(std::make_shared<sqldb::Connection>(directory)) {}
 
-PerfDb::PerfDb(std::shared_ptr<sqldb::Connection> connection)
-    : connection_(std::move(connection)) {
-  ensure_schema();
-}
-
-void PerfDb::ensure_schema() {
-  connection_->execute_update(
-      "CREATE TABLE IF NOT EXISTS perf_runs ("
-      " id INTEGER PRIMARY KEY,"
-      " bench TEXT NOT NULL,"
-      " git_sha TEXT,"
-      " timestamp TEXT,"
-      " schema_version INTEGER,"
-      " kind TEXT NOT NULL)");
-  connection_->execute_update(
-      "CREATE TABLE IF NOT EXISTS perf_metrics ("
-      " id INTEGER PRIMARY KEY,"
-      " run INTEGER NOT NULL,"
-      " name TEXT NOT NULL,"
-      " value REAL)");
-}
-
-std::int64_t PerfDb::record_run(const BenchRun& run, std::string_view kind) {
-  if (kind != "baseline" && kind != "current") {
-    throw InvalidArgument("perf run kind must be 'baseline' or 'current'");
+std::int64_t PerfDb::experiment_id(const BenchRun& run) {
+  std::optional<profile::Application> app = api_.find_application(run.bench);
+  if (!app) {
+    app.emplace();
+    app->name = run.bench;
+    api_.save_application(*app);
   }
-  sqldb::ScopedTransaction txn(*connection_);
-  connection_->execute_update(
-      "INSERT INTO perf_runs (bench, git_sha, timestamp, schema_version,"
-      " kind) VALUES (?, ?, ?, ?, ?)",
-      {sqldb::Value(run.bench), sqldb::Value(run.git_sha),
-       sqldb::Value(run.timestamp), sqldb::Value(run.schema_version),
-       sqldb::Value(std::string(kind))});
-  auto rs = connection_->execute("SELECT MAX(id) FROM perf_runs");
-  rs.next();
-  const std::int64_t run_id = rs.get_int(1);
-  auto insert = connection_->prepare(
-      "INSERT INTO perf_metrics (run, name, value) VALUES (?, ?, ?)");
-  for (const auto& [name, value] : run.metrics) {
-    insert.set_int(1, run_id);
-    insert.set_string(2, name);
-    insert.set_double(3, value);
-    insert.execute_update();
+  for (const profile::Experiment& experiment : api_.list_experiments(app->id)) {
+    if (experiment.name == run.machine_class) return experiment.id;
   }
-  txn.commit();
-  return run_id;
+  profile::Experiment experiment;
+  experiment.application_id = app->id;
+  experiment.name = run.machine_class;
+  api_.save_experiment(experiment);
+  return experiment.id;
 }
 
-std::int64_t PerfDb::latest_run(std::string_view bench, std::string_view kind) {
-  auto rs = connection_->execute(
-      "SELECT MAX(id) FROM perf_runs WHERE bench = ? AND kind = ?",
-      {sqldb::Value(std::string(bench)), sqldb::Value(std::string(kind))});
-  if (!rs.next() || rs.is_null(1)) return -1;
-  return rs.get_int(1);
+std::int64_t PerfDb::store(const BenchRun& run) {
+  if (run.machine_class.empty()) {
+    throw InvalidArgument("BENCH run of '" + run.bench +
+                          "' names no machine class (schema_version " +
+                          std::to_string(run.schema_version) + ")");
+  }
+  const std::int64_t experiment = experiment_id(run);
+  for (const profile::Trial& trial : api_.list_trials(experiment)) {
+    if (date_of(trial) == run.timestamp) return trial.id;
+  }
+  return api_.upload_trial(to_trial(run), experiment, /*extend_schema=*/true);
 }
 
-std::vector<std::string> PerfDb::benches_with(std::string_view kind) {
-  auto rs = connection_->execute(
-      "SELECT DISTINCT bench FROM perf_runs WHERE kind = ? ORDER BY bench",
-      {sqldb::Value(std::string(kind))});
-  std::vector<std::string> benches;
-  while (rs.next()) benches.push_back(rs.get_string(1));
-  return benches;
-}
+void PerfDb::check(const BenchRun& run, const std::vector<GateRule>& gates,
+                   Report& report) {
+  report.runs.push_back({run.bench, run.machine_class, 0});
+  if (run.machine_class.empty()) return;
+  const std::int64_t current = store(run);
 
-Report PerfDb::compare(double threshold_pct,
-                       const std::vector<GateRule>& gates) {
-  Report report;
-  report.threshold_pct = threshold_pct;
+  // The baseline: the newest earlier trials of this bench and class.
+  std::vector<profile::Trial> earlier;
+  for (profile::Trial& trial :
+       api_.list_trials(api_.get_trial(current)->experiment_id)) {
+    if (date_of(trial) < run.timestamp) earlier.push_back(std::move(trial));
+  }
+  std::sort(earlier.begin(), earlier.end(), [](const auto& a, const auto& b) {
+    return date_of(a) > date_of(b);
+  });
+  if (earlier.size() > kBaselineRuns) earlier.resize(kBaselineRuns);
+  report.runs.back().baseline_runs = earlier.size();
+  if (earlier.empty()) return;
 
-  for (const std::string& bench : benches_with("current")) {
-    const std::int64_t current_id = latest_run(bench, "current");
-    const std::int64_t baseline_id = latest_run(bench, "baseline");
-    if (baseline_id < 0) {
-      report.first_run_benches.push_back(bench);
-      continue;
+  std::vector<profile::TrialData> trials;
+  trials.push_back(api_.load_trial(current));
+  for (const profile::Trial& trial : earlier) {
+    trials.push_back(api_.load_trial(trial.id));
+  }
+  std::vector<const profile::TrialData*> aligned;
+  for (const profile::TrialData& trial : trials) aligned.push_back(&trial);
+  const analysis::ComparisonReport comparison =
+      analysis::compare_trials(aligned, kValueMetric);
+
+  std::vector<Delta> deltas;
+  for (const analysis::ComparisonRow& row : comparison.rows) {
+    Delta d;
+    d.bench = run.bench;
+    d.metric = row.event_name;
+    d.lower_better = lower_is_better(d.metric);
+    d.gated = is_gated(gates, run.bench, d.metric);
+    // Presence comes from the trials: compare_trials marks an absent
+    // event -1, which is also a value a metric may hold.
+    std::vector<double> baseline;
+    for (std::size_t i = 1; i < trials.size(); ++i) {
+      if (trials[i].find_event(d.metric)) baseline.push_back(row.mean_exclusive[i]);
     }
-
-    // The delta itself is SQL: baseline rows LEFT JOINed to the current
-    // run, relative change computed by the engine (NULL current or a
-    // zero baseline yields a NULL delta, surfaced via is_null below).
-    auto rs = connection_->execute(
-        "SELECT b.name, b.value, c.value,"
-        " (c.value - b.value) * 100.0 / b.value"
-        " FROM perf_metrics b LEFT JOIN perf_metrics c"
-        " ON c.name = b.name AND c.run = ?"
-        " WHERE b.run = ? ORDER BY b.name",
-        {sqldb::Value(current_id), sqldb::Value(baseline_id)});
-    while (rs.next()) {
-      Delta d;
-      d.bench = bench;
-      d.metric = rs.get_string(1);
-      d.baseline = rs.get_double(2);
-      d.lower_better = lower_is_better(d.metric);
-      d.gated = is_gated(gates, bench, d.metric);
-      if (rs.is_null(3)) {
-        d.missing_current = true;
-        if (d.gated) ++report.missing;
-      } else {
-        d.current = rs.get_double(3);
-        if (!rs.is_null(4)) {
-          d.delta_pct = rs.get_double(4);
-        } else if (d.current != 0.0) {
-          // Baseline 0, current not: direction is unambiguous even if a
-          // percentage is not representable.
-          d.delta_pct = d.lower_better ? threshold_pct + 100.0
-                                       : -(threshold_pct + 100.0);
-        }
-        const double worse = d.lower_better ? d.delta_pct : -d.delta_pct;
-        d.regressed = d.gated && worse > threshold_pct;
-        if (d.regressed) ++report.regressions;
-      }
-      report.deltas.push_back(std::move(d));
-    }
-
-    // Metrics this run produced that the baseline has never seen —
-    // advisory only, and the cue to re-record the baseline.
-    rs = connection_->execute(
-        "SELECT c.name, c.value FROM perf_metrics c"
-        " LEFT JOIN perf_metrics b ON b.name = c.name AND b.run = ?"
-        " WHERE c.run = ? AND b.name IS NULL ORDER BY c.name",
-        {sqldb::Value(baseline_id), sqldb::Value(current_id)});
-    while (rs.next()) {
-      Delta d;
-      d.bench = bench;
-      d.metric = rs.get_string(1);
-      d.current = rs.get_double(2);
-      d.lower_better = lower_is_better(d.metric);
-      d.gated = is_gated(gates, bench, d.metric);
+    if (baseline.empty()) {
       d.new_metric = true;
-      report.deltas.push_back(std::move(d));
+      d.current = row.mean_exclusive[0];
+    } else if (!trials[0].find_event(d.metric)) {
+      d.baseline = analysis::percentile(baseline, 0.5);
+      d.missing_current = true;
+      if (d.gated) ++report.missing;
+    } else {
+      d.baseline = analysis::percentile(baseline, 0.5);
+      d.current = row.mean_exclusive[0];
+      const double change = d.current - d.baseline;
+      d.delta_pct = d.baseline != 0.0 ? change / std::fabs(d.baseline) * 100.0
+                    : change == 0.0   ? 0.0
+                                      : std::copysign(HUGE_VAL, change);
+      const double worse = d.lower_better ? d.delta_pct : -d.delta_pct;
+      d.regressed = d.gated && worse >= kThresholdPct;
+      if (d.regressed) ++report.regressions;
     }
+    deltas.push_back(std::move(d));
   }
-  return report;
+  std::sort(deltas.begin(), deltas.end(),
+            [](const Delta& a, const Delta& b) { return a.metric < b.metric; });
+  std::move(deltas.begin(), deltas.end(), std::back_inserter(report.deltas));
 }
 
 std::string format_report(const Report& report) {
@@ -305,16 +296,23 @@ std::string format_report(const Report& report) {
                   verdict);
     out += line;
   }
-  for (const std::string& bench : report.first_run_benches) {
-    out += "first run for bench '" + bench +
-           "': no stored baseline, nothing gated (record one with"
-           " --record-baseline)\n";
+  for (const Report::Run& run : report.runs) {
+    const std::string machine =
+        run.machine_class.empty() ? "(none)" : run.machine_class;
+    if (run.baseline_runs == 0) {
+      out += "UNGATED (no baseline for machine class '" + machine +
+             "'): bench '" + run.bench + "' compared against nothing\n";
+    } else {
+      out += "bench '" + run.bench + "' on machine class '" + machine +
+             "': baseline = median of " + std::to_string(run.baseline_runs) +
+             " earlier run(s)\n";
+    }
   }
   char summary[128];
   std::snprintf(summary, sizeof summary,
                 "perfguard: %d regression(s), %d missing gated metric(s),"
-                " threshold %.1f%%\n",
-                report.regressions, report.missing, report.threshold_pct);
+                " threshold %.0f%%\n",
+                report.regressions, report.missing, kThresholdPct);
   out += summary;
   return out;
 }

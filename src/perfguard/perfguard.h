@@ -1,43 +1,56 @@
-// perfguard: the self-hosted perf-regression gate.
+// perfguard: the self-hosted perf-regression gate, PerfDMF turned on
+// itself. Every bench binary emits BENCH_<name>.json (bench/bench_json.h);
+// perfguard stores each run in PerfDMF's own schema through
+// api::DatabaseAPI:
+//   application = the bench ("workload", "query", ...);
+//   experiment  = the machine class the run was measured on;
+//   trial       = one run, with `date`, `git_sha` and `build_type` as
+//                 flexible-schema fields;
+//   each metric key is an interval event with one data point (exclusive
+//   = the value) under the one metric "value".
+// A run is compared against the median of the newest kBaselineRuns
+// earlier trials of the same bench and machine class, aligned through
+// analysis::compare_trials. A run whose class has no such trial is
+// UNGATED: it is never compared across classes. With a file-backed store
+// (perfguard --db DIR) the history is an ordinary archive, browsable with
+// `perfdmf_cli DIR ls|sql|diff`.
 //
-// Every bench binary emits BENCH_<name>.json (bench/bench_json.h); this
-// module closes the loop by loading those files into sqldb itself — the
-// PerfDMF premise applied to PerfDMF: the performance database IS this
-// database. Runs land in a PERF_RUNS / PERF_METRICS schema, the
-// baseline-vs-current deltas are computed *by the SQL engine* (a LEFT
-// JOIN with arithmetic in the select list, exercising the PR 4 hash-join
-// path on every CI run), and scripts/check.sh fails when a gated metric
-// regresses past a threshold.
-//
-// Schema (bootstrapped on first use, shares a database with anything):
-//   PERF_RUNS    (id PK, bench, git_sha, timestamp, schema_version, kind)
-//   PERF_METRICS (id PK, run -> PERF_RUNS.id, name, value)
-// `kind` is 'baseline' (loaded from a committed bench/baselines/ file or
-// recorded by --record-baseline) or 'current' (this run). With a
-// file-backed database the history of every run accumulates and stays
-// queryable with plain SQL (perfguard --sql).
-//
-// Direction: a metric named *_ms / *_micros / *_us / *_ns is
-// lower-is-better; everything else (ops_per_s, *_speedup, ratios) is
-// higher-is-better. Gate only metrics whose name carries a direction.
+// Direction: a metric named *_ms / *_micros / *_us / *_ns (latency) or
+// *_errors (failed operations) is lower-is-better; everything else
+// (ops_per_s, *_speedup, ratios) is higher-is-better. Gate only metrics
+// whose name carries a direction.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <filesystem>
-#include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
-#include "sqldb/connection.h"
+#include "api/database_api.h"
 
 namespace perfdmf::perfguard {
+
+/// A gated metric regresses when it is worse than the baseline median by
+/// this much or more: a halved throughput, a 1.5x latency. Generous on
+/// purpose, because recorded same-class runs of the quick benches on a
+/// shared 4-vCPU VM stray up to about 50% from their median; the gate
+/// catches halvings, not jitter.
+inline constexpr double kThresholdPct = 50.0;
+/// How many earlier same-class runs make up a baseline median.
+inline constexpr std::size_t kBaselineRuns = 5;
 
 /// One parsed BENCH_<name>.json.
 struct BenchRun {
   std::string bench;
+  /// "nproc<N>-<cpu model>" (bench_json.h); empty before schema_version
+  /// 3, and such a run can be no class's baseline.
+  std::string machine_class;
+  std::string build_type;
   std::string git_sha;
-  std::string timestamp;
+  std::string timestamp;  // ISO-8601 UTC, so text order is time order
   std::int64_t schema_version = 1;  // pre-versioning files are v1
   /// name -> value, document order. Null-valued metrics (non-finite at
   /// emit time) are dropped at parse.
@@ -49,8 +62,8 @@ struct BenchRun {
 BenchRun parse_bench_json(std::string_view text);
 BenchRun load_bench_file(const std::filesystem::path& path);
 
-/// True when smaller values of `metric` are better (latency-shaped
-/// names); false for throughput/ratio-shaped names.
+/// True when smaller values of `metric` are better (latency and
+/// failure-count names); false for throughput/ratio-shaped names.
 bool lower_is_better(std::string_view metric);
 
 /// A gate rule "bench:metric"; either side may carry one '*' anywhere
@@ -66,66 +79,65 @@ std::vector<GateRule> parse_gate_rules(std::string_view text);
 bool is_gated(const std::vector<GateRule>& rules, std::string_view bench,
               std::string_view metric);
 
-/// One baseline/current metric pair (or a hole on either side).
+/// One metric of a run against its baseline median (or a hole on either
+/// side).
 struct Delta {
   std::string bench;
   std::string metric;
-  double baseline = 0.0;
+  double baseline = 0.0;  // median of the baseline runs that have it
   double current = 0.0;
-  /// (current - baseline) / baseline * 100, as computed by the SQL
-  /// engine; 0 when either side is missing or the baseline is 0.
+  /// (current - baseline) / |baseline| * 100; +-infinity when the
+  /// baseline is 0 and the current value is not.
   double delta_pct = 0.0;
   bool lower_better = false;
   bool gated = false;
-  bool regressed = false;       // gated and worse than threshold
-  bool missing_current = false; // in baseline, absent from this run
-  bool new_metric = false;      // in this run, absent from baseline
+  bool regressed = false;       // gated and kThresholdPct or more worse
+  bool missing_current = false; // in the baseline, absent from this run
+  bool new_metric = false;      // in this run, absent from every baseline
 };
 
 struct Report {
+  /// One compared run: its bench, its class and how many earlier runs
+  /// made up its baseline; 0 means UNGATED (no baseline in its class).
+  struct Run {
+    std::string bench;
+    std::string machine_class;
+    std::size_t baseline_runs = 0;
+  };
+  std::vector<Run> runs;
   std::vector<Delta> deltas;
-  /// Benches with a current run but no stored baseline (first run):
-  /// compared against nothing, reported, never failed.
-  std::vector<std::string> first_run_benches;
-  double threshold_pct = 0.0;
   int regressions = 0;
   int missing = 0;  // gated metrics absent from the current run
 
   bool ok() const { return regressions == 0 && missing == 0; }
 };
 
-/// The PERF_RUNS / PERF_METRICS store over a sqldb connection.
+/// BENCH runs as PerfDMF trials (see the header comment).
 class PerfDb {
  public:
   /// In-memory store (one-shot compare).
   PerfDb();
-  /// File-backed store at `directory`: runs accumulate across
-  /// invocations into a durable, SQL-queryable perf history.
+  /// File-backed archive at `directory`: runs accumulate across
+  /// invocations.
   explicit PerfDb(const std::filesystem::path& directory);
-  /// Share an existing connection (tests; embedding in a live database).
-  explicit PerfDb(std::shared_ptr<sqldb::Connection> connection);
 
-  sqldb::Connection& connection() { return *connection_; }
+  /// Store `run` as a trial under its bench and machine class; a run
+  /// already stored (same bench, class and timestamp) is not stored
+  /// twice. Returns the trial id. Throws InvalidArgument for a run
+  /// without a machine class.
+  std::int64_t store(const BenchRun& run);
 
-  /// Record one bench run; `kind` is "baseline" or "current".
-  /// Returns the new PERF_RUNS id.
-  std::int64_t record_run(const BenchRun& run, std::string_view kind);
-
-  /// Latest PERF_RUNS id for (bench, kind); -1 when none exists.
-  std::int64_t latest_run(std::string_view bench, std::string_view kind);
-
-  /// Benches that have at least one run of `kind`, sorted.
-  std::vector<std::string> benches_with(std::string_view kind);
-
-  /// Compare the latest 'current' run of every bench against its latest
-  /// 'baseline' run. Deltas are computed in SQL; gating/thresholding is
-  /// applied to the result rows.
-  Report compare(double threshold_pct, const std::vector<GateRule>& gates);
+  /// Store `run` (when it has a class) and compare it against the median
+  /// of the newest kBaselineRuns earlier trials of its bench and class,
+  /// adding its deltas to `report`.
+  void check(const BenchRun& run, const std::vector<GateRule>& gates,
+             Report& report);
 
  private:
-  void ensure_schema();
+  /// The experiment of `run`'s bench and class, created when missing.
+  std::int64_t experiment_id(const BenchRun& run);
 
-  std::shared_ptr<sqldb::Connection> connection_;
+  api::DatabaseAPI api_;
 };
 
 /// Human-readable report table (the CLI and check.sh output).

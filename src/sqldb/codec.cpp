@@ -47,9 +47,12 @@ class RecordWriter {
         return line("R", digits);
       }
       case ValueType::kText:
-        return line("T", v.as_text().size(), v.as_text());
+        return text(v.as_text());
     }
   }
+
+  /// A text value record: how the snapshot frames every catalog name.
+  void text(std::string_view s) { line("T", s.size(), s); }
 
  private:
   template <typename T>
@@ -168,10 +171,79 @@ class RecordReader {
     throw ParseError("unknown value tag in record");
   }
 
+  /// A text value record, read as a catalog name.
+  std::string text() {
+    const Value v = value();
+    if (v.type() != ValueType::kText) throw ParseError("expected a name record");
+    return v.as_text();
+  }
+
  private:
   std::string_view text_;
   std::size_t pos_;
 };
+
+/// A catalog line: `keyword`, N names, then M other fields. Version 3
+/// keeps the other fields on the keyword's line and frames each name after
+/// it as a text record, so a name may hold any byte; versions 1 and 2 put
+/// the names inline, where a space or a newline breaks them.
+template <std::size_t N, std::size_t M>
+struct CatalogLine {
+  std::array<std::string, N> names;
+  std::array<std::string_view, M> fields;
+};
+
+template <std::size_t N, std::size_t M>
+CatalogLine<N, M> catalog_line(RecordReader& in, bool framed,
+                               std::string_view keyword) {
+  CatalogLine<N, M> out;
+  if (framed) {
+    const auto f = in.fields<1 + M>(keyword);
+    std::copy(f.begin() + 1, f.end(), out.fields.begin());
+    for (auto& name : out.names) name = in.text();
+  } else {
+    const auto f = in.fields<1 + N + M>(keyword);
+    std::copy(f.begin() + 1, f.begin() + 1 + N, out.names.begin());
+    std::copy(f.begin() + 1 + N, f.end(), out.fields.begin());
+  }
+  return out;
+}
+
+std::unique_ptr<Table> decode_table(RecordReader& in, bool framed) {
+  const auto head = catalog_line<1, 0>(in, framed, "TABLE");
+  if (head.names[0].empty()) throw ParseError("bad TABLE line");
+  TableSchema schema{head.names[0]};
+  const std::int64_t next_auto = util::parse_int_or_throw(in.keyed("AUTO"), "AUTO");
+  for (std::size_t i = 0, n = in.count("COLS"); i < n; ++i) {
+    const auto col = catalog_line<1, 4>(in, framed, "COL");
+    const auto& f = col.fields;
+    ColumnDef column;
+    column.name = col.names[0];
+    column.type = f[0] == "INTEGER" ? ValueType::kInt
+                  : f[0] == "REAL"  ? ValueType::kReal
+                  : f[0] == "TEXT"  ? ValueType::kText
+                                    : ValueType::kNull;
+    column.not_null = f[1] == "1";
+    column.primary_key = f[2] == "1";
+    column.auto_increment = f[3] == "1";
+    column.default_value = in.value();
+    schema.add_column(std::move(column));
+  }
+  for (std::size_t i = 0, n = in.count("FKS"); i < n; ++i) {
+    auto fk = catalog_line<3, 0>(in, framed, "FK");
+    schema.add_foreign_key(
+        {std::move(fk.names[0]), std::move(fk.names[1]), std::move(fk.names[2])});
+  }
+  auto table = std::make_unique<Table>(std::move(schema));
+  const std::size_t width = table->schema().columns().size();
+  for (std::size_t r = 0, rows = in.count("ROWS"); r < rows; ++r) {
+    Row row(width);
+    for (auto& value : row) value = in.value();
+    table->insert(std::move(row), nullptr, ReadView::latest());
+  }
+  table->bump_auto_increment(next_auto);
+  return table;
+}
 
 }  // namespace
 
@@ -250,28 +322,34 @@ void decode_wal_payload(std::string_view payload,
 std::string encode_snapshot(const Database& db, std::uint64_t watermark) {
   std::string out;
   RecordWriter w(out);
-  w.line("PERFDB SNAPSHOT 2");
+  w.line("PERFDB SNAPSHOT 3");
   w.line("WALSEQ", watermark);
   for (const auto& name : db.view_names()) {
     const std::string& sql = db.view_sql(name);
-    w.line("VIEW", name, sql.size());
+    w.line("VIEW", sql.size());
+    w.text(name);
     w.line(sql);
   }
   const std::vector<std::string> tables = db.table_names();
   for (const auto& name : tables) {
     const Table& t = db.table(name);
     const TableSchema& schema = t.schema();
-    w.line("TABLE", schema.name());
+    w.line("TABLE");
+    w.text(schema.name());
     w.line("AUTO", t.next_auto_increment());
     w.line("COLS", schema.columns().size());
     for (const auto& c : schema.columns()) {
-      w.line("COL", c.name, value_type_name(c.type), c.not_null, c.primary_key,
+      w.line("COL", value_type_name(c.type), c.not_null, c.primary_key,
              c.auto_increment);
+      w.text(c.name);
       w.value(c.default_value);
     }
     w.line("FKS", schema.foreign_keys().size());
     for (const auto& fk : schema.foreign_keys()) {
-      w.line("FK", fk.column, fk.parent_table, fk.parent_column);
+      w.line("FK");
+      w.text(fk.column);
+      w.text(fk.parent_table);
+      w.text(fk.parent_column);
     }
     w.line("ROWS", t.live_row_count());
     t.scan(ReadView::latest(), [&](RowId, const Row& row) {
@@ -285,58 +363,15 @@ std::string encode_snapshot(const Database& db, std::uint64_t watermark) {
     const Table& t = db.table(name);
     const auto& columns = t.schema().columns();
     for (std::size_t c = 0; c < columns.size(); ++c) {
-      if (t.has_index(c)) w.line("INDEX", name, columns[c].name, t.has_unique_index(c));
+      if (!t.has_index(c)) continue;
+      w.line("INDEX", t.has_unique_index(c));
+      w.text(name);
+      w.text(columns[c].name);
     }
   }
   w.line("SUM", hex8(util::crc32(out)));
   return out;
 }
-
-namespace {
-
-std::unique_ptr<Table> decode_table(RecordReader& in, std::string_view name) {
-  if (name.empty()) throw ParseError("bad TABLE line");
-  TableSchema schema{std::string(name)};
-  const std::int64_t next_auto = util::parse_int_or_throw(in.keyed("AUTO"), "AUTO");
-  for (std::size_t i = 0, n = in.count("COLS"); i < n; ++i) {
-    const auto f = in.fields<6>("COL");
-    ColumnDef column;
-    column.name = f[1];
-    column.type = f[2] == "INTEGER" ? ValueType::kInt
-                  : f[2] == "REAL"  ? ValueType::kReal
-                  : f[2] == "TEXT"  ? ValueType::kText
-                                    : ValueType::kNull;
-    column.not_null = f[3] == "1";
-    column.primary_key = f[4] == "1";
-    column.auto_increment = f[5] == "1";
-    column.default_value = in.value();
-    schema.add_column(std::move(column));
-  }
-  for (std::size_t i = 0, n = in.count("FKS"); i < n; ++i) {
-    const auto f = in.fields<4>("FK");
-    schema.add_foreign_key({std::string(f[1]), std::string(f[2]), std::string(f[3])});
-  }
-  auto table = std::make_unique<Table>(std::move(schema));
-  const std::size_t width = table->schema().columns().size();
-  // Rows of a table whose columns were all dropped take no bytes, so only
-  // a wider table's row count is bounded by the bytes left.
-  const std::string_view digits = in.keyed("ROWS");
-  std::size_t rows = 0;
-  if (width > 0) {
-    rows = in.length(digits, "ROWS");
-  } else if (const std::int64_t n = util::parse_int_or_throw(digits, "ROWS"); n > 0) {
-    rows = static_cast<std::size_t>(n);
-  }
-  for (std::size_t r = 0; r < rows; ++r) {
-    Row row(width);
-    for (auto& value : row) value = in.value();
-    table->insert(std::move(row), nullptr, ReadView::latest());
-  }
-  table->bump_auto_increment(next_auto);
-  return table;
-}
-
-}  // namespace
 
 SnapshotImage decode_snapshot(std::string_view file) {
   std::string_view body = file;
@@ -353,7 +388,8 @@ SnapshotImage decode_snapshot(std::string_view file) {
   SnapshotImage image;
   RecordReader in(body);
   const std::string_view header = in.line();
-  if (header == "PERFDB SNAPSHOT 2") {
+  const bool framed = header == "PERFDB SNAPSHOT 3";
+  if (framed || header == "PERFDB SNAPSHOT 2") {
     image.watermark = static_cast<std::uint64_t>(
         util::parse_int_or_throw(in.keyed("WALSEQ"), "WALSEQ"));
   } else if (header != "PERFDB SNAPSHOT 1") {
@@ -361,14 +397,17 @@ SnapshotImage decode_snapshot(std::string_view file) {
   }
   while (!in.at_end()) {
     if (in.peek("VIEW ")) {
-      const auto f = in.fields<3>("VIEW");
-      image.views.push_back({std::string(f[1]),
-                             std::string(in.block(in.length(f[2], "view length")))});
+      auto view = catalog_line<1, 1>(in, framed, "VIEW");
+      image.views.push_back(
+          {std::move(view.names[0]),
+           std::string(in.block(in.length(view.fields[0], "view length")))});
     } else if (in.peek("INDEX ")) {
-      const auto f = in.fields<4>("INDEX");
-      image.indexes.push_back({f[3] == "1", {}, std::string(f[1]), std::string(f[2])});
+      auto index = catalog_line<2, 1>(in, framed, "INDEX");
+      image.indexes.push_back({index.fields[0] == "1", {},
+                               std::move(index.names[0]),
+                               std::move(index.names[1])});
     } else {
-      image.tables.push_back(decode_table(in, util::trim(in.keyed("TABLE"))));
+      image.tables.push_back(decode_table(in, framed));
     }
   }
   return image;

@@ -6,20 +6,25 @@
 //   WAL       "R <seq> <crc32-hex8> <len>\n" + a payload: one statement
 //             frame, or a commit batch "B <count>\n" + frames; then "E\n".
 //             A frame is "S <sql-len>\n<sql>\nP <count>\n" + the values.
-//   snapshot  "PERFDB SNAPSHOT 2", "WALSEQ <n>"; per view "VIEW <name>
-//             <len>" + its SELECT; per table "TABLE <name>", "AUTO <n>",
-//             "COLS <n>" + "COL <name> <type> <not-null> <pk> <auto>" lines
-//             each with its default value, "FKS <n>" + "FK <column>
-//             <parent> <parent-column>" lines, "ROWS <n>" + the values;
-//             then "INDEX <table> <column> <unique>" lines and a
-//             "SUM <crc32-hex8>" line over everything above. Version 1
-//             has neither WALSEQ nor SUM.
+//   snapshot  "PERFDB SNAPSHOT 3", "WALSEQ <n>"; per view "VIEW <len>" +
+//             its name + its SELECT; per table "TABLE" + its name,
+//             "AUTO <n>", "COLS <n>" + per column "COL <type> <not-null>
+//             <pk> <auto>" + its name + its default value, "FKS <n>" + per
+//             foreign key "FK" + its column, parent and parent column
+//             names, "ROWS <n>" + the values; then per index "INDEX
+//             <unique>" + its table and column names; then a "SUM
+//             <crc32-hex8>" line over everything above. Every name is a
+//             text value record, so a name may hold any byte.
+//             Version 2 (still read) puts the names on the keyword's line,
+//             before the other fields ("COL <name> <type> ...", "VIEW
+//             <name> <len>", "INDEX <table> <column> <unique>"), where a
+//             space or a newline breaks them; version 1 is version 2
+//             without WALSEQ and SUM.
 //
 // Reading goes through one bounds-checked cursor over a string_view:
 // every count and length is checked against the bytes left before
-// anything is allocated or looped over (save the row count of a table
-// without columns, whose rows take no bytes), and every malformation
-// throws ParseError.
+// anything is allocated or looped over, and every malformation throws
+// ParseError.
 #pragma once
 
 #include <cstdint>
@@ -67,7 +72,7 @@ std::optional<WalRecord> read_wal_record(std::string_view log, std::size_t pos);
 void decode_wal_payload(std::string_view payload,
                         std::vector<LoggedStatement>& statements);
 
-/// The catalog of `db`, read through its public accessors, as a version 2
+/// The catalog of `db`, read through its public accessors, as a version 3
 /// snapshot whose watermark is `watermark`.
 std::string encode_snapshot(const Database& db, std::uint64_t watermark);
 
@@ -80,8 +85,11 @@ struct SnapshotImage {
   std::vector<CreateIndexStatement> indexes;
 };
 
-/// Decode a version 1 or 2 snapshot. Throws ParseError on a bad checksum
-/// or frame, and DbError when a table rejects its schema or rows.
+/// Decode a version 1, 2 or 3 snapshot. Throws ParseError on a bad
+/// checksum, header or frame, and DbError when well-framed bytes describe
+/// an invalid table (a repeated column, an FK on an unknown column, a row
+/// its schema or a unique index rejects). Database::load_snapshot reports
+/// both as ParseError, so either falls back to snapshot.pdb.prev.
 SnapshotImage decode_snapshot(std::string_view file);
 
 }  // namespace perfdmf::sqldb

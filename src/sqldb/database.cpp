@@ -332,10 +332,19 @@ Database::Database(const std::filesystem::path& directory,
                       << " later record(s) discarded";
   }
   wal_->set_next_seq(std::max(watermark, info.last_seq) + 1);
+  unsaved_ = report_.used_previous_snapshot || info.applied > 0 || info.skipped > 0;
+  // A torn tail or damaged bytes stay in the log, and the next append
+  // would land behind them, where the next replay discards it with the
+  // damage. Fold what was recovered into a snapshot and start an empty
+  // log before anything is appended.
+  if (info.tail_torn || info.corrupt) checkpoint();
 }
 
 Database::~Database() {
-  if (wal_ && !replaying_) {
+  // Close costs what changed: a session that logged nothing, after a
+  // recovery that read only the newest snapshot, with nothing for vacuum
+  // to free, leaves the files as they are.
+  if (wal_ && !replaying_ && (unsaved_ || !stamp_graveyard_.empty())) {
     try {
       checkpoint();
     } catch (const std::exception& e) {
@@ -881,6 +890,7 @@ void Database::log_to_wal(const std::vector<LoggedStatement>& statements,
   if (!wal_ || replaying_ || statements.empty()) return;
   const char* site = commit ? "wal.commit" : "wal.append";
   std::uint64_t seq = 0;
+  unsaved_ = true;
   governed_durable_write([&] { seq = wal_->append(statements, site); },
                          commit ? "commit (WAL batch append)" : "WAL append");
   const SyncMode sync = wal_->sync_mode();
@@ -967,6 +977,7 @@ void Database::checkpoint() {
         wal_->reset();
       },
       "checkpoint");
+  unsaved_ = false;
 
   static auto& checkpoints =
       telemetry::MetricsRegistry::instance().counter("sqldb.checkpoints");

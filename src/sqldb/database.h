@@ -289,6 +289,10 @@ class Database {
   std::unique_ptr<Wal> wal_;
   std::filesystem::path directory_;
   bool replaying_ = false;  // suppress WAL writes during recovery
+  /// The files lag memory: something was logged since the last
+  /// checkpoint, or recovery rebuilt state from more than the newest
+  /// snapshot. Close checkpoints only then (or when vacuum has garbage).
+  bool unsaved_ = false;
   RecoveryReport report_;
 
   void note_schema_change() {

@@ -24,6 +24,10 @@ void TableSchema::drop_column(const std::string& name) {
   if (columns_[*index].primary_key) {
     throw DbError("cannot drop primary key column '" + name + "'");
   }
+  if (columns_.size() == 1) {
+    throw DbError("cannot drop column '" + name + "': no other column in table " +
+                  name_);
+  }
   for (const auto& fk : foreign_keys_) {
     if (util::iequals(fk.column, name)) {
       throw DbError("cannot drop foreign key column '" + name + "'");

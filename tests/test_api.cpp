@@ -463,6 +463,34 @@ TEST(ApiPersistence, FlexibleSchemaColumnsSurviveReopen) {
   }
 }
 
+// TAU-style metadata keys hold spaces; the columns they become must
+// survive a snapshot and come back as fields.
+TEST(ApiPersistence, MetadataKeysWithSpacesSurviveReopen) {
+  util::ScopedTempDir dir;
+  const auto db_dir = dir.path() / "archive";
+  std::int64_t trial_id = profile::kNoId;
+  {
+    auto conn = std::make_shared<sqldb::Connection>(db_dir);
+    DatabaseAPI api(conn);
+    profile::Application app;
+    app.name = "app";
+    api.save_application(app);
+    profile::Experiment experiment;
+    experiment.application_id = app.id;
+    experiment.name = "exp";
+    api.save_experiment(experiment);
+    profile::TrialData trial;
+    trial.trial().name = "run";
+    trial.trial().fields["CPU MHz"] = "2394.454";
+    trial.intern_metric("TIME");
+    trial_id = api.upload_trial(trial, experiment.id, /*extend_schema=*/true);
+  }
+  auto conn = std::make_shared<sqldb::Connection>(db_dir);
+  EXPECT_TRUE(conn->recovery_report().clean());
+  DatabaseAPI api(conn);
+  EXPECT_EQ(api.load_trial(trial_id).trial().fields.at("CPU MHz"), "2394.454");
+}
+
 }  // namespace
 
 namespace {

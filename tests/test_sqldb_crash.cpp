@@ -439,6 +439,65 @@ TEST_F(CrashRecovery, TornCommitWriteIsInvisibleAfterRestart) {
   EXPECT_EQ(rs.get_int(1), 1);  // the unacknowledged txn vanished whole
 }
 
+// Recovery that found a torn tail or damaged bytes must not leave them in
+// the log: the next record would land behind them, and the next replay
+// would discard it with the damage. Directed: a clean close, then a torn
+// (or whole but corrupt) record appended to wal.log; the child reopens,
+// autocommits one row under the default on_commit sync, and dies without
+// closing. The row must survive the next open.
+TEST_F(CrashRecovery, CommitAfterRecoveringADamagedTailSurvivesTheNextCrash) {
+#if PERFDMF_TSAN
+  GTEST_SKIP() << "fork() is unreliable under TSan";
+#endif
+  const struct {
+    const char* name;
+    const char* tail;
+    bool clean;
+  } damage[] = {
+      {"torn tail", "R 3 0badf00d 99\nS 2", true},
+      {"mid-log corruption", "R 3 0badf00d 2\nE\n", false},
+  };
+  for (const auto& d : damage) {
+    SCOPED_TRACE(d.name);
+    u::ScopedTempDir dir;
+    const auto db_dir = dir.path() / "db";
+    {
+      Connection conn(db_dir, DurabilityOptions{SyncMode::kOnCommit});
+      conn.execute_update("CREATE TABLE t (id INTEGER PRIMARY KEY, x INTEGER)");
+      conn.execute_update("INSERT INTO t (x) VALUES (1)");
+    }
+    {
+      std::ofstream wal(db_dir / "wal.log", std::ios::binary | std::ios::app);
+      wal << d.tail;
+    }
+    const pid_t pid = ::fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+      u::set_log_level(u::LogLevel::kOff);
+      try {
+        Connection conn(db_dir, DurabilityOptions{SyncMode::kOnCommit});
+        const RecoveryReport& report = conn.recovery_report();
+        const int code =
+            report.clean() == d.clean && report.replayed_records == 0 ? 0 : 2;
+        conn.execute_update("INSERT INTO t (x) VALUES (2)");
+        ::_exit(code);  // a crash: no close, no checkpoint
+      } catch (const std::exception&) {
+      }
+      ::_exit(4);
+    }
+    int status = 0;
+    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+    ASSERT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), 0) << "2: unexpected recovery report, 4: threw";
+
+    Connection conn(db_dir);
+    EXPECT_TRUE(conn.recovery_report().clean());
+    auto rs = conn.execute("SELECT COUNT(*) FROM t");
+    rs.next();
+    EXPECT_EQ(rs.get_int(1), 2);
+  }
+}
+
 // Group commit, directed: several threads commit concurrently under
 // SyncMode::kAlways, so their WAL fsyncs coalesce behind one leader; the
 // child dies at the leader's group-fsync point. Every commit a thread

@@ -7,6 +7,7 @@
 
 #include "sqldb/connection.h"
 #include "sqldb/wal.h"
+#include "telemetry/metrics.h"
 #include "util/crc32.h"
 #include "util/error.h"
 #include "util/failpoint.h"
@@ -992,6 +993,95 @@ const char kPinSnapshot[] =
     "INDEX trial tag 1\n"
     "SUM fe4edfed\n";
 
+// The same catalog as version 3 writes it: every name framed as a text
+// value record.
+const char kPinSnapshotV3[] =
+    "PERFDB SNAPSHOT 3\n"
+    "WALSEQ 10\n"
+    "VIEW 48\n"
+    "T 4 slow\n"
+    "SELECT tag, seconds FROM trial WHERE seconds > 1\n"
+    "TABLE\n"
+    "T 3 app\n"
+    "AUTO 4\n"
+    "COLS 4\n"
+    "COL INTEGER 1 1 1\n"
+    "T 2 id\n"
+    "N\n"
+    "COL TEXT 1 0 0\n"
+    "T 4 name\n"
+    "N\n"
+    "COL TEXT 0 0 0\n"
+    "T 4 note\n"
+    "N\n"
+    "COL REAL 0 0 0\n"
+    "T 6 weight\n"
+    "R 0.25\n"
+    "FKS 0\n"
+    "ROWS 2\n"
+    "I 1\n"
+    "T 9 first app\n"
+    "T 9 two\n"
+    "lines\n"
+    "R 0.12345678901234566\n"
+    "I 2\n"
+    "T 6 second\n"
+    "N\n"
+    "R 0.25\n"
+    "TABLE\n"
+    "T 5 trial\n"
+    "AUTO 4\n"
+    "COLS 5\n"
+    "COL INTEGER 1 1 1\n"
+    "T 2 id\n"
+    "N\n"
+    "COL INTEGER 1 0 0\n"
+    "T 3 app\n"
+    "N\n"
+    "COL TEXT 0 0 0\n"
+    "T 3 tag\n"
+    "N\n"
+    "COL REAL 0 0 0\n"
+    "T 7 seconds\n"
+    "N\n"
+    "COL INTEGER 0 0 0\n"
+    "T 5 delta\n"
+    "I -7\n"
+    "FKS 1\n"
+    "FK\n"
+    "T 3 app\n"
+    "T 3 app\n"
+    "T 2 id\n"
+    "ROWS 3\n"
+    "I 1\n"
+    "I 1\n"
+    "T 3 a b\n"
+    "R 2.2250738585072014e-308\n"
+    "I -9223372036854775808\n"
+    "I 2\n"
+    "I 2\n"
+    "N\n"
+    "R 1e+308\n"
+    "I -7\n"
+    "I 3\n"
+    "I 2\n"
+    "T 0 \n"
+    "R 3.1415926535897931\n"
+    "I -42\n"
+    "INDEX 1\n"
+    "T 3 app\n"
+    "T 2 id\n"
+    "INDEX 1\n"
+    "T 5 trial\n"
+    "T 2 id\n"
+    "INDEX 0\n"
+    "T 5 trial\n"
+    "T 3 app\n"
+    "INDEX 1\n"
+    "T 5 trial\n"
+    "T 3 tag\n"
+    "SUM 51647ab7\n";
+
 /// Every row of `sql`, one line per row, each value as TYPE=text with
 /// reals to all 17 significant digits.
 std::string dump_rows(Connection& conn, const std::string& sql) {
@@ -1054,7 +1144,10 @@ TEST(FormatPin, EarlierSnapshotAndWalBytesOpenToTheSameRows) {
   v1.replace(0, std::strlen("PERFDB SNAPSHOT 2\nWALSEQ 10\n"), "PERFDB SNAPSHOT 1\n");
   v1.resize(v1.size() - std::strlen("SUM fe4edfed\n"));
   const std::pair<const char*, std::string> files[] = {
-      {"snapshot.pdb", kPinSnapshot}, {"snapshot.pdb", v1}, {"wal.log", kPinWal}};
+      {"snapshot.pdb", kPinSnapshotV3},
+      {"snapshot.pdb", kPinSnapshot},
+      {"snapshot.pdb", v1},
+      {"wal.log", kPinWal}};
   for (const auto& [name, bytes] : files) {
     SCOPED_TRACE(bytes.substr(0, bytes.find('\n')));
     u::ScopedTempDir dir;
@@ -1074,27 +1167,128 @@ TEST(FormatPin, SameCatalogWritesTheSameBytes) {
   build_pin_catalog(conn);
   EXPECT_EQ(u::read_file(db_dir / "wal.log"), kPinWal);
   conn.checkpoint();
-  EXPECT_EQ(u::read_file(db_dir / "snapshot.pdb"), kPinSnapshot);
+  EXPECT_EQ(u::read_file(db_dir / "snapshot.pdb"), kPinSnapshotV3);
 }
 
-// A table whose columns were all dropped keeps its rows, which take no
-// bytes in the snapshot: their count is not bounded by the bytes left.
-TEST(Persistence, RowsOfATableWithoutColumnsSurviveASnapshot) {
+// Names are framed like text values, so any identifier the engine
+// accepts (a space, a newline, a quote) survives both the WAL and a
+// snapshot.
+TEST(Persistence, QuotedNamesWithSpacesSurviveSnapshotAndWal) {
   u::ScopedTempDir dir;
   const auto db_dir = dir.path() / "db";
+  const auto build = [](Connection& conn) {
+    conn.execute_update("CREATE TABLE \"my t\" (id INTEGER PRIMARY KEY, x INTEGER)");
+    conn.execute_update(
+        "CREATE TABLE \"child\nrow\" (id INTEGER PRIMARY KEY, \"parent id\" INTEGER,"
+        " \"say 'hi'\" TEXT, FOREIGN KEY (\"parent id\") REFERENCES \"my t\" (id))");
+    conn.execute_update("CREATE UNIQUE INDEX \"x idx\" ON \"my t\" (x)");
+    conn.execute_update("CREATE VIEW \"big x\" AS SELECT x FROM \"my t\" WHERE x > 1");
+    conn.execute_update("INSERT INTO \"my t\" (x) VALUES (1), (2)");
+    conn.execute_update(
+        "INSERT INTO \"child\nrow\" (\"parent id\", \"say 'hi'\") VALUES (2, 'yo')");
+  };
+  const auto expect_catalog = [](Connection& conn) {
+    EXPECT_TRUE(conn.recovery_report().clean());
+    auto rs = conn.execute(
+        "SELECT t.x, c.\"say 'hi'\" FROM \"my t\" t"
+        " JOIN \"child\nrow\" c ON c.\"parent id\" = t.id");
+    ASSERT_TRUE(rs.next());
+    EXPECT_EQ(rs.get_int(1), 2);
+    EXPECT_EQ(rs.get_string(2), "yo");
+    auto view = conn.execute("SELECT COUNT(*) FROM \"big x\"");
+    view.next();
+    EXPECT_EQ(view.get_int(1), 1);
+    EXPECT_THROW(conn.execute_update("INSERT INTO \"my t\" (x) VALUES (1)"),
+                 perfdmf::DbError);
+    EXPECT_THROW(
+        conn.execute_update("INSERT INTO \"child\nrow\" (\"parent id\") VALUES (9)"),
+        perfdmf::DbError);
+  };
   {
     Connection conn(db_dir);
-    conn.execute_update("CREATE TABLE z (a INTEGER)");
-    std::string insert = "INSERT INTO z (a) VALUES (0)";
-    for (int i = 1; i < 100; ++i) insert += ", (" + std::to_string(i) + ")";
-    conn.execute_update(insert);
-    conn.execute_update("ALTER TABLE z DROP COLUMN a");
+    build(conn);
+    // Leave the catalog in the WAL only: the next open replays it.
+    u::failpoint::enable("snapshot.write", u::FailAction::kError);
   }
-  Connection conn(db_dir);
-  EXPECT_TRUE(conn.recovery_report().clean());
+  u::failpoint::clear_all();
+  {
+    Connection conn(db_dir);
+    EXPECT_GT(conn.recovery_report().replayed_records, 0u);
+    expect_catalog(conn);
+  }
+  Connection conn(db_dir);  // from the snapshot the last close wrote
+  EXPECT_EQ(conn.recovery_report().replayed_records, 0u);
+  expect_catalog(conn);
+}
+
+// Close costs what changed: a session that only read rewrites nothing,
+// and every session that changed something, on disk or in recovery,
+// still checkpoints.
+TEST(Persistence, ReadOnlySessionCloseRewritesNothing) {
+  u::ScopedTempDir dir;
+  const auto db_dir = dir.path() / "db";
+  const auto snapshot = db_dir / "snapshot.pdb";
+  const auto prev = db_dir / "snapshot.pdb.prev";
+  const auto count_rows = [&] {
+    Connection conn(db_dir);
+    auto rs = conn.execute("SELECT COUNT(*) FROM t");
+    rs.next();
+    return rs.get_int(1);
+  };
+  {
+    Connection conn(db_dir);
+    conn.execute_update("CREATE TABLE t (id INTEGER PRIMARY KEY, x INTEGER)");
+  }
+  {
+    Connection conn(db_dir);
+    conn.execute_update("INSERT INTO t (x) VALUES (1)");
+  }
+  const std::string snapshot_bytes = u::read_file(snapshot);
+  const std::string prev_bytes = u::read_file(prev);
+  auto& checkpoints =
+      perfdmf::telemetry::MetricsRegistry::instance().counter("sqldb.checkpoints");
+  const std::uint64_t before = checkpoints.value();
+  EXPECT_EQ(count_rows(), 1);
+  EXPECT_EQ(checkpoints.value(), before);
+  EXPECT_EQ(u::read_file(snapshot), snapshot_bytes);
+  EXPECT_EQ(u::read_file(prev), prev_bytes);
+
+  // A one-row writer still checkpoints.
+  {
+    Connection conn(db_dir);
+    conn.execute_update("INSERT INTO t (x) VALUES (2)");
+  }
+  EXPECT_NE(u::read_file(snapshot), snapshot_bytes);
+  EXPECT_EQ(u::read_file(prev), snapshot_bytes);
+
+  // An open that replayed the WAL checkpoints even if it only reads.
+  {
+    Connection conn(db_dir);
+    conn.execute_update("INSERT INTO t (x) VALUES (3)");
+    u::failpoint::enable("snapshot.write", u::FailAction::kError);
+  }
+  u::failpoint::clear_all();
+  const std::string before_replay = u::read_file(snapshot);
+  EXPECT_EQ(count_rows(), 3);
+  EXPECT_NE(u::read_file(snapshot), before_replay);
+  EXPECT_EQ(u::read_file(db_dir / "wal.log"), "");
+
+  // So does one that fell back to snapshot.pdb.prev.
+  u::write_file(snapshot, "damaged");
+  EXPECT_EQ(count_rows(), 2);
+  EXPECT_EQ(u::read_file(snapshot).rfind("PERFDB SNAPSHOT 3\n", 0), 0u);
+}
+
+TEST(Persistence, DroppingTheLastColumnIsRefused) {
+  Connection conn;
+  conn.execute_update("CREATE TABLE z (a INTEGER)");
+  conn.execute_update("INSERT INTO z (a) VALUES (1)");
+  EXPECT_THROW(conn.execute_update("ALTER TABLE z DROP COLUMN a"), perfdmf::DbError);
+  conn.execute_update("ALTER TABLE z ADD COLUMN b TEXT");
+  conn.execute_update("ALTER TABLE z DROP COLUMN a");
   auto rs = conn.execute("SELECT COUNT(*) FROM z");
   rs.next();
-  EXPECT_EQ(rs.get_int(1), 100);
+  EXPECT_EQ(rs.get_int(1), 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -1145,13 +1339,13 @@ TEST(Persistence, InvalidSnapshotBodyFallsBackToPrevious) {
   }
   const std::string good = u::read_file(db_dir / "snapshot.pdb");
   const std::pair<std::string, std::string> edits[] = {
-      {"COL n INTEGER", "COL name INTEGER"},  // duplicate column
-      {"FK pid p id", "FK nope p id"},        // FK on an unknown column
+      {"\nT 1 n\n", "\nT 4 name\n"},        // duplicate column
+      {"FK\nT 3 pid\n", "FK\nT 4 nope\n"},   // FK on an unknown column
       {"\nT 1 a\n", "\nN\n"},                 // NULL in a NOT NULL column
       {"\nI 10\n", "\nT 1 x\n"},              // text in an INTEGER column
       {"\nI 2\nT 1 b", "\nI 1\nT 1 b"},       // repeated primary key
       {"\nI 20\n", "\nI 10\n"},               // repeated unique-index key
-      {"TABLE c", "TABLE p"},                 // repeated table
+      {"TABLE\nT 1 c\n", "TABLE\nT 1 p\n"}, // repeated table
   };
   for (const auto& [from, to] : edits) {
     SCOPED_TRACE(to);
